@@ -77,7 +77,7 @@ type ScannerPart struct {
 // Step2Part compares the full Step 2 kernel — insert, collect, sort — as
 // the seed ran it (index-striped superkmer split, sequential vertex sort)
 // against the overhauled form (kmer-weighted chunk claiming, parallel
-// merge sort) on a skewed partition.
+// radix sort) on a skewed partition.
 type Step2Part struct {
 	RequestedWorkers int `json:"requested_workers"`
 	EffectiveWorkers int `json:"effective_workers"`
@@ -422,7 +422,7 @@ func measureStep2(cfg config) (Step2Part, error) {
 	}
 
 	// After: kmer-weighted chunks claimed from an atomic cursor plus the
-	// parallel merge sort (the device.CPU Step 2 strategy).
+	// parallel radix sort (the device.CPU Step 2 strategy).
 	grain := kmers / int64(workers*8)
 	if grain < 1 {
 		grain = 1

@@ -8,7 +8,6 @@ package sortmerge
 
 import (
 	"fmt"
-	"sort"
 
 	"parahash/internal/costmodel"
 	"parahash/internal/dna"
@@ -33,6 +32,8 @@ type Stats struct {
 	Distinct int64
 }
 
+func pairCanon(p *pair) dna.Kmer { return p.canon }
+
 // BuildSubgraph constructs one partition's subgraph by sort-merge from its
 // superkmers. threads scales the charged sort time (parallel merge sort);
 // the construction itself is sequential and exact.
@@ -46,7 +47,7 @@ func BuildSubgraph(sks []msp.Superkmer, k, threads int, cal costmodel.Calibratio
 			pairs = append(pairs, pair{canon: e.Canon, left: e.Left, right: e.Right})
 		})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].canon.Less(pairs[j].canon) })
+	dna.SortByKmer(pairs, make([]pair, len(pairs)), 1, pairCanon)
 
 	g := &graph.Subgraph{K: k}
 	for i := 0; i < len(pairs); {

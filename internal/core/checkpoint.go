@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,6 +35,11 @@ type checkpoint struct {
 	// spill runs are journalled from concurrent compute workers — several
 	// oversized partitions can publish runs at once.
 	mu sync.Mutex
+	// sealed, under mu, closes the journal once Step 2's pipeline has
+	// returned: an attempt the watchdog abandoned, or one still unwinding
+	// from a cancellation, may outlive the build, and must not save the
+	// manifest under a later Scrub or resume.
+	sealed bool
 
 	// step1Valid marks the manifest's Step 1 roster trustworthy: every
 	// partition file either verified or is listed in step1Rebuild.
@@ -319,20 +325,20 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 // afterwards (a crash in between leaves unjournalled orphans, swept by
 // Scrub).
 func (ck *checkpoint) markStep2(i int, written *graph.Subgraph, distinct int64) error {
-	ck.mu.Lock()
-	spilled := ck.man.SpillRunsFor(i)
-	ck.man.DropSpill(i)
-	ck.man.SetStep2(manifest.Step2Partition{
-		Index:    i,
-		Name:     subgraphFile(i),
-		Bytes:    graph.SerializedSize(written.NumVertices()),
-		Vertices: int64(written.NumVertices()),
-		Edges:    int64(written.NumEdges()),
-		Distinct: distinct,
-	})
-	err := ck.man.Save(ck.path)
-	ck.mu.Unlock()
-	if err != nil {
+	var spilled []manifest.SpillRun
+	if err := ck.journal(func() bool {
+		spilled = ck.man.SpillRunsFor(i)
+		ck.man.DropSpill(i)
+		ck.man.SetStep2(manifest.Step2Partition{
+			Index:    i,
+			Name:     subgraphFile(i),
+			Bytes:    graph.SerializedSize(written.NumVertices()),
+			Vertices: int64(written.NumVertices()),
+			Edges:    int64(written.NumEdges()),
+			Distinct: distinct,
+		})
+		return true
+	}); err != nil {
 		return err
 	}
 	for _, rec := range spilled {
@@ -364,23 +370,44 @@ func sweepSpillPrefix(st store.PartitionStore, part int) {
 	}
 }
 
+// errJournalSealed rejects a journal write from an attempt that outlived
+// its build's Step 2.
+var errJournalSealed = errors.New("core: checkpoint journal sealed: Step 2 has returned")
+
+// journal applies one Step 2 mutation to the manifest under mu and saves
+// it, unless mutate reports nothing changed. Once the journal is sealed it
+// fails instead, leaving the manifest alone.
+func (ck *checkpoint) journal(mutate func() bool) error {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	if ck.sealed {
+		return errJournalSealed
+	}
+	if !mutate() {
+		return nil
+	}
+	return ck.man.Save(ck.path)
+}
+
+// seal closes the journal to Step 2 writers; it waits for an in-progress
+// save to finish.
+func (ck *checkpoint) seal() {
+	ck.mu.Lock()
+	ck.sealed = true
+	ck.mu.Unlock()
+}
+
 // journalSpillRun records one durably published out-of-core run. Called
 // from concurrent compute workers, after the run file's atomic rename.
 func (ck *checkpoint) journalSpillRun(rec manifest.SpillRun) error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	ck.man.AddSpillRun(rec)
-	return ck.man.Save(ck.path)
+	return ck.journal(func() bool { ck.man.AddSpillRun(rec); return true })
 }
 
 // journalSpillDone marks a partition's run scan complete: every run it
 // will ever have is journalled, so a crash from here on resumes at the
 // merge.
 func (ck *checkpoint) journalSpillDone(i int) error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	ck.man.SetSpillDone(i)
-	return ck.man.Save(ck.path)
+	return ck.journal(func() bool { ck.man.SetSpillDone(i); return true })
 }
 
 // clearSpillClaims drops a partition's journalled spill state before a
@@ -388,13 +415,13 @@ func (ck *checkpoint) journalSpillDone(i int) error {
 // place — the retry overwrites the same deterministic names, and anything
 // beyond the new attempt's run count becomes an unjournalled orphan.
 func (ck *checkpoint) clearSpillClaims(i int) error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	if len(ck.man.SpillRunsFor(i)) == 0 && !ck.man.IsSpillDone(i) {
-		return nil
-	}
-	ck.man.DropSpill(i)
-	return ck.man.Save(ck.path)
+	return ck.journal(func() bool {
+		if len(ck.man.SpillRunsFor(i)) == 0 && !ck.man.IsSpillDone(i) {
+			return false
+		}
+		ck.man.DropSpill(i)
+		return true
+	})
 }
 
 // resumedDistinct sums the skipped partitions' constructed vertex counts,

@@ -282,6 +282,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 
 	report, err := pipeline.RunResilientTraced(ctx, len(pending), read, workers, write, pol, stepRecorder(cfg, "step2", procs))
+	if ck != nil {
+		ck.seal()
+	}
 	if err != nil {
 		return nil, nil, StepStats{}, err
 	}

@@ -3,7 +3,7 @@
 // from table insertion to external-memory sort-merge — the Kundeti et al.
 // construction recast onto ParaHash's MSP partition files. Superkmers are
 // flattened into fixed-size spill records in a bounded buffer, each full
-// buffer is sorted with the zero-alloc run sorter and spilled through the
+// buffer is sorted with the zero-alloc radix sorter and spilled through the
 // partition store as a CRC-footered run file, and the runs are k-way
 // merge-deduped streaming into the final sorted subgraph. No hash table is
 // ever built, and the merge emits vertices already in SortParallel order,

@@ -39,6 +39,9 @@ type Store struct {
 	mu           sync.Mutex
 	bytesRead    int64
 	bytesWritten int64
+	// inFlight counts this Store's open writers per .tmp path; SweepTmp
+	// spares those files, so it only ever removes a dead writer's remains.
+	inFlight map[string]int
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -51,7 +54,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating root: %w", err)
 	}
-	return &Store{root: dir}, nil
+	return &Store{root: dir, inFlight: make(map[string]int)}, nil
 }
 
 // Root returns the store's root directory.
@@ -78,11 +81,16 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
-	f, err := os.Create(final + tmpSuffix)
-	if err != nil {
+	a := &atomicFile{store: s, tmp: final + tmpSuffix, final: final}
+	// Register before the file exists, so no sweep can see it unclaimed.
+	s.mu.Lock()
+	s.inFlight[a.tmp]++
+	s.mu.Unlock()
+	if a.f, err = os.Create(a.tmp); err != nil {
+		a.release()
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
-	return &atomicFile{store: s, f: f, tmp: final + tmpSuffix, final: final}, nil
+	return a, nil
 }
 
 // Open returns a reader over a snapshot of the file's published content.
@@ -245,11 +253,12 @@ func (s *Store) Reset() error {
 	return syncDir(s.root)
 }
 
-// SweepTmp removes every in-flight ".tmp" file under the root — the
-// leftovers of writers killed mid-stream — returning the swept names
-// (root-relative, slash-separated, .tmp suffix included), sorted. Published
-// files are untouched. Each affected directory is fsynced so the sweep is
-// durable.
+// SweepTmp removes every ".tmp" file under the root that no open writer of
+// this Store owns — the leftovers of writers killed mid-stream — returning
+// the swept names (root-relative, slash-separated, .tmp suffix included),
+// sorted. Published files and live writers' files are untouched; a file
+// that vanishes before its removal (published meanwhile) counts as already
+// swept. Each affected directory is fsynced so the sweep is durable.
 func (s *Store) SweepTmp() ([]string, error) {
 	var swept []string
 	dirs := make(map[string]bool)
@@ -257,7 +266,18 @@ func (s *Store) SweepTmp() ([]string, error) {
 		if err != nil || d.IsDir() || !strings.HasSuffix(p, tmpSuffix) {
 			return err
 		}
-		if err := os.Remove(p); err != nil {
+		// Holding mu across the removal keeps Create from registering the
+		// path between the check and the unlink.
+		s.mu.Lock()
+		owned := s.inFlight[p] > 0
+		if !owned {
+			err = os.Remove(p)
+		}
+		s.mu.Unlock()
+		if owned || os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
 			return err
 		}
 		rel, err := filepath.Rel(s.root, p)
@@ -305,6 +325,15 @@ func (a *atomicFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// release drops the writer's claim on its .tmp path.
+func (a *atomicFile) release() {
+	a.store.mu.Lock()
+	defer a.store.mu.Unlock()
+	if a.store.inFlight[a.tmp]--; a.store.inFlight[a.tmp] <= 0 {
+		delete(a.store.inFlight, a.tmp)
+	}
+}
+
 // Close publishes the file: fsync the data, close, atomically rename over
 // the final name, then fsync the parent directory so the rename itself is
 // durable. On any failure the temporary file is removed and the previous
@@ -314,6 +343,7 @@ func (a *atomicFile) Close() error {
 		return nil
 	}
 	a.done = true
+	defer a.release()
 	if err := a.f.Sync(); err != nil {
 		a.f.Close()
 		os.Remove(a.tmp)

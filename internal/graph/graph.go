@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"parahash/internal/dna"
@@ -141,36 +142,107 @@ func (g *Subgraph) FilterByMultiplicity(min int) int {
 	return removed
 }
 
-// Merge combines subgraphs into one graph, summing counters of vertices
-// that appear in several subgraphs. With MSP partitioning, vertex sets are
-// disjoint across partitions, so merging is pure concatenation; the
-// summation path exists for non-partitioned construction and for tests.
+// Merge combines subgraphs into one sorted graph with a k-way heap merge,
+// summing the counters of vertices that appear in several subgraphs. With
+// MSP partitioning, vertex sets are disjoint across partitions and every
+// Step 2 subgraph is already sorted, so the merge only interleaves them;
+// the summation path exists for non-partitioned construction and for
+// tests. An unsorted input is sorted on a copy: the inputs are never
+// modified.
 func Merge(k int, subs ...*Subgraph) (*Subgraph, error) {
 	total := 0
-	for _, s := range subs {
+	runs := make([][]Vertex, len(subs))
+	for i, s := range subs {
 		if s.K != k {
 			return nil, fmt.Errorf("graph: cannot merge K=%d subgraph into K=%d graph", s.K, k)
 		}
 		total += len(s.Vertices)
-	}
-	merged := &Subgraph{K: k, Vertices: make([]Vertex, 0, total)}
-	for _, s := range subs {
-		merged.Vertices = append(merged.Vertices, s.Vertices...)
-	}
-	merged.Sort()
-	// Collapse duplicates.
-	out := merged.Vertices[:0]
-	for _, v := range merged.Vertices {
-		if n := len(out); n > 0 && out[n-1].Kmer == v.Kmer {
-			for j := range v.Counts {
-				out[n-1].Counts[j] += v.Counts[j]
-			}
-		} else {
-			out = append(out, v)
+		runs[i] = s.Vertices
+		if !slices.IsSortedFunc(runs[i], func(a, b Vertex) int { return a.Kmer.Compare(b.Kmer) }) {
+			runs[i] = append([]Vertex(nil), runs[i]...)
+			(&Subgraph{Vertices: runs[i]}).SortParallel(1)
 		}
 	}
-	merged.Vertices = out
-	return merged, nil
+	out := make([]Vertex, 0, total)
+	err := kwayMerge(len(runs), func(i int, v *Vertex) (bool, error) {
+		if len(runs[i]) == 0 {
+			return false, nil
+		}
+		*v, runs[i] = runs[i][0], runs[i][1:]
+		return true, nil
+	}, func(v *Vertex) error {
+		out = append(out, *v)
+		return nil
+	})
+	return &Subgraph{K: k, Vertices: out}, err
+}
+
+// kwayMerge merges n sources into ascending k-mer order. Each source
+// yields vertices in non-decreasing k-mer order: next(src, v) stores the
+// source's next vertex in *v, or reports false once it is exhausted. A
+// binary min-heap holds one head vertex per source. Counters of equal
+// k-mers, within a source or across sources, are summed, and each merged
+// vertex is handed to emit.
+func kwayMerge(n int, next func(src int, v *Vertex) (bool, error), emit func(*Vertex) error) error {
+	type head struct {
+		v   Vertex
+		src int
+	}
+	h := make([]head, 0, n)
+	for i := 0; i < n; i++ {
+		h = append(h, head{src: i})
+		ok, err := next(i, &h[len(h)-1].v)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			h = h[:len(h)-1]
+		}
+	}
+	down := func(i int) {
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && h[c+1].v.Kmer.Less(h[c].v.Kmer) {
+				c++
+			}
+			if !h[c].v.Kmer.Less(h[i].v.Kmer) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	var acc Vertex
+	pending := false
+	for ; len(h) > 0; pending = true {
+		top := &h[0]
+		if pending && acc.Kmer == top.v.Kmer {
+			for j := range acc.Counts {
+				acc.Counts[j] += top.v.Counts[j]
+			}
+		} else {
+			if pending {
+				if err := emit(&acc); err != nil {
+					return err
+				}
+			}
+			acc = top.v
+		}
+		ok, err := next(top.src, &top.v)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	if pending {
+		return emit(&acc)
+	}
+	return nil
 }
 
 // Stats summarises a graph in the terms of Table I of the paper.

@@ -187,8 +187,15 @@ func TestMergeOverlapping(t *testing.T) {
 }
 
 func TestMergeKMismatch(t *testing.T) {
-	if _, err := Merge(5, &Subgraph{K: 7}); err == nil {
-		t.Error("K mismatch accepted")
+	ok := &Subgraph{K: 27, Vertices: randomVertices(3, 10, 27)}
+	for _, subs := range [][]*Subgraph{
+		{{K: 31}},
+		{ok, {K: 31}},
+		{ok, ok, {K: 26, Vertices: randomVertices(4, 10, 26)}},
+	} {
+		if _, err := Merge(27, subs...); err == nil {
+			t.Errorf("K mismatch among %d inputs accepted", len(subs))
+		}
 	}
 }
 

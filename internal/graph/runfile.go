@@ -232,59 +232,15 @@ func VerifyRun(r io.Reader, k int) (int64, uint32, error) {
 
 // MergeRuns k-way merges sorted runs into ascending vertex order, summing
 // the counters of k-mers that appear in several runs, and hands each
-// merged vertex to emit. Memory is O(fan-in): one head vertex per run.
-// The fan-in is expected to be small (the spill path caps it), so the
-// min-scan is linear rather than a heap.
+// merged vertex to emit. It shares Merge's heap merge; memory is
+// O(fan-in): one head vertex per run.
 func MergeRuns(runs []*RunReader, emit func(Vertex) error) error {
-	heads := make([]Vertex, len(runs))
-	live := make([]bool, len(runs))
-	advance := func(i int) error {
-		v, err := runs[i].Next()
+	return kwayMerge(len(runs), func(i int, v *Vertex) (bool, error) {
+		next, err := runs[i].Next()
 		if err == io.EOF {
-			live[i] = false
-			return nil
+			return false, nil
 		}
-		if err != nil {
-			return err
-		}
-		heads[i], live[i] = v, true
-		return nil
-	}
-	for i := range runs {
-		if err := advance(i); err != nil {
-			return err
-		}
-	}
-	for {
-		best := -1
-		for i, ok := range live {
-			if ok && (best < 0 || heads[i].Kmer.Less(heads[best].Kmer)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		acc := heads[best]
-		if err := advance(best); err != nil {
-			return err
-		}
-		// Absorb the same k-mer from every other run. Within a run k-mers
-		// are strictly ascending (RunWriter enforces it), so one pass over
-		// the heads collects every duplicate.
-		for i, ok := range live {
-			if !ok || i == best || heads[i].Kmer != acc.Kmer {
-				continue
-			}
-			for j := range acc.Counts {
-				acc.Counts[j] += heads[i].Counts[j]
-			}
-			if err := advance(i); err != nil {
-				return err
-			}
-		}
-		if err := emit(acc); err != nil {
-			return err
-		}
-	}
+		*v = next
+		return err == nil, err
+	}, func(v *Vertex) error { return emit(*v) })
 }

@@ -1,94 +1,12 @@
 package graph
 
-import (
-	"sort"
-	"sync"
-)
+import "parahash/internal/dna"
 
-// sortParallelMin is the vertex count below which SortParallel falls back to
-// the sequential sort: goroutine fan-out costs more than it saves on small
-// subgraphs.
-const sortParallelMin = 1 << 13
-
-// SortParallel orders the vertices canonically using up to workers
-// goroutines: the slice is cut into per-worker runs, each run sorted
-// concurrently, and the runs merged pairwise. Vertex k-mers are unique
-// within a subgraph, so the result is exactly the sequential Sort's.
+// SortParallel orders the vertices canonically with the radix sort of
+// dna.SortByKmer on up to workers goroutines, at every worker count. Vertex
+// k-mers are unique within a subgraph, so the result is exactly Sort's.
 func (g *Subgraph) SortParallel(workers int) {
-	n := len(g.Vertices)
-	if workers <= 1 || n < sortParallelMin {
-		g.Sort()
-		return
-	}
-	// Keep runs at least ~1k vertices so per-goroutine work dwarfs the
-	// fan-out cost; n >= sortParallelMin keeps this at least 8.
-	if workers > n/1024 {
-		workers = n / 1024
-	}
-
-	// Cut into runs of near-equal length and sort each concurrently.
-	cur, other := g.Vertices, make([]Vertex, n)
-	runs := make([][]Vertex, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		if lo < hi {
-			runs = append(runs, cur[lo:hi:hi])
-		}
-	}
-	var wg sync.WaitGroup
-	for _, run := range runs {
-		wg.Add(1)
-		go func(run []Vertex) {
-			defer wg.Done()
-			sort.Slice(run, func(i, j int) bool { return run[i].Kmer.Less(run[j].Kmer) })
-		}(run)
-	}
-	wg.Wait()
-
-	// Merge adjacent run pairs concurrently, ping-ponging between the two
-	// buffers, until a single fully sorted run remains.
-	for len(runs) > 1 {
-		next := make([][]Vertex, 0, (len(runs)+1)/2)
-		off := 0
-		var mg sync.WaitGroup
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				dst := other[off : off+len(runs[i]) : off+len(runs[i])]
-				copy(dst, runs[i])
-				next = append(next, dst)
-				off += len(runs[i])
-				continue
-			}
-			a, b := runs[i], runs[i+1]
-			dst := other[off : off+len(a)+len(b) : off+len(a)+len(b)]
-			next = append(next, dst)
-			off += len(a) + len(b)
-			mg.Add(1)
-			go func(dst, a, b []Vertex) {
-				defer mg.Done()
-				mergeVertices(dst, a, b)
-			}(dst, a, b)
-		}
-		mg.Wait()
-		runs = next
-		cur, other = other, cur
-	}
-	g.Vertices = runs[0]
+	dna.SortByKmer(g.Vertices, make([]Vertex, len(g.Vertices)), workers, vertexKmer)
 }
 
-// mergeVertices merges two sorted runs into dst (len(dst) = len(a)+len(b)).
-func mergeVertices(dst, a, b []Vertex) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Kmer.Less(b[j].Kmer) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
-}
+func vertexKmer(v *Vertex) dna.Kmer { return v.Kmer }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,36 +32,39 @@ func randomVertices(seed int64, n, k int) []Vertex {
 }
 
 func TestSortParallelMatchesSort(t *testing.T) {
-	for _, n := range []int{0, 1, 100, sortParallelMin - 1, sortParallelMin, 3*sortParallelMin + 17} {
-		for _, workers := range []int{1, 2, 3, 8, 64} {
-			vs := randomVertices(int64(n)*1000+int64(workers), n, 27)
-			want := &Subgraph{K: 27, Vertices: append([]Vertex(nil), vs...)}
-			want.Sort()
-			got := &Subgraph{K: 27, Vertices: append([]Vertex(nil), vs...)}
-			got.SortParallel(workers)
-			if len(got.Vertices) != len(want.Vertices) {
-				t.Fatalf("n=%d workers=%d: length %d vs %d", n, workers, len(got.Vertices), len(want.Vertices))
-			}
-			for i := range want.Vertices {
-				if got.Vertices[i] != want.Vertices[i] {
-					t.Fatalf("n=%d workers=%d: vertex %d differs", n, workers, i)
+	for _, k := range []int{27, 33} {
+		for _, n := range []int{0, 1, 100, 1<<13 - 1, 1 << 13, 3<<13 + 17} {
+			for _, workers := range []int{1, 2, 3, 8, 64} {
+				vs := randomVertices(int64(n)*1000+int64(workers), n, k)
+				want := &Subgraph{K: k, Vertices: append([]Vertex(nil), vs...)}
+				want.Sort()
+				got := &Subgraph{K: k, Vertices: append([]Vertex(nil), vs...)}
+				got.SortParallel(workers)
+				if !got.Equal(want) {
+					t.Fatalf("k=%d n=%d workers=%d: SortParallel differs from Sort", k, n, workers)
 				}
 			}
 		}
 	}
 }
 
+// BenchmarkSortParallel sorts one Step 2 partition's worth of vertices:
+// about 30K, the per-partition size of a 1.9M-vertex graph in 64
+// partitions.
 func BenchmarkSortParallel(b *testing.B) {
-	vs := randomVertices(99, 1<<16, 27)
-	scratch := make([]Vertex, len(vs))
-	for _, workers := range []int{1, 8} {
-		b.Run(map[int]string{1: "sequential", 8: "workers-8"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(scratch, vs)
-				g := &Subgraph{K: 27, Vertices: scratch}
-				g.SortParallel(workers)
-			}
-		})
+	const n = 30000
+	for _, k := range []int{27, 33} {
+		vs := randomVertices(99, n, k)
+		scratch := make([]Vertex, len(vs))
+		for _, workers := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("k=%d/workers=%d", k, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(scratch, vs)
+					g := &Subgraph{K: k, Vertices: scratch}
+					g.SortParallel(workers)
+				}
+			})
+		}
 	}
 }

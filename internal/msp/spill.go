@@ -68,145 +68,15 @@ func AppendSpillRecords(dst []SpillRecord, sk Superkmer, k int) []SpillRecord {
 	return dst
 }
 
-// spillSortParallelMin is the record count below which SortSpillRecords
-// stays sequential: goroutine fan-out costs more than it saves on small
-// runs (same threshold rationale as graph.SortParallel).
-const spillSortParallelMin = 1 << 13
-
-// spillSortBlock is the leaf size sorted by insertion sort before the
-// bottom-up merge passes take over.
-const spillSortBlock = 32
-
-// SortSpillRecords orders recs ascending by canonical k-mer using up to
-// workers goroutines and the caller-provided scratch buffer (len(scratch)
-// must be >= len(recs)). The sort is an iterative bottom-up merge sort
-// ping-ponging between the two buffers — no sort.Slice closures, no
-// per-call allocation — so a reused (records, scratch) buffer pair sorts
-// every spill run with zero allocations on the sequential path. Ties
-// (duplicate k-mers) may land in any order; the downstream merge sums
-// their counters commutatively, so the aggregate is deterministic.
+// SortSpillRecords orders recs ascending by canonical k-mer with the radix
+// sort of dna.SortByKmer, using up to workers goroutines and the
+// caller-provided scratch buffer (len(scratch) must be >= len(recs)). A
+// reused (records, scratch) buffer pair sorts every spill run with zero
+// allocations on the sequential path. Ties (duplicate k-mers) keep their
+// input order; the downstream merge sums their counters commutatively, so
+// the aggregate is deterministic either way.
 func SortSpillRecords(recs, scratch []SpillRecord, workers int) {
-	n := len(recs)
-	if n <= 1 {
-		return
-	}
-	if workers <= 1 || n < spillSortParallelMin {
-		// The parallel body lives in its own function: its goroutine
-		// closures capture the buffers, and sharing a stack frame with that
-		// capture would heap-allocate the slice headers on this
-		// sequential path too.
-		sortSpillRun(recs, scratch[:n])
-		return
-	}
-	sortSpillParallel(recs, scratch[:n], workers)
+	dna.SortByKmer(recs, scratch, workers, spillKmer)
 }
 
-func sortSpillParallel(recs, scratch []SpillRecord, workers int) {
-	n := len(recs)
-	// Keep per-worker runs at least ~1k records so goroutine work dwarfs
-	// the fan-out cost.
-	if workers > n/1024 {
-		workers = n / 1024
-	}
-
-	// Sort near-equal slices concurrently, each inside its own buffer span.
-	type span struct{ lo, hi int }
-	spans := make([]span, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		if lo < hi {
-			spans = append(spans, span{lo, hi})
-		}
-	}
-	done := make(chan struct{}, len(spans))
-	for _, sp := range spans {
-		go func(lo, hi int) {
-			sortSpillRun(recs[lo:hi], scratch[lo:hi])
-			done <- struct{}{}
-		}(sp.lo, sp.hi)
-	}
-	for range spans {
-		<-done
-	}
-
-	// Merge adjacent sorted spans pairwise, ping-ponging the buffers, until
-	// one fully sorted run remains; copy back if it ended in scratch.
-	src, dst := recs, scratch
-	for len(spans) > 1 {
-		next := make([]span, 0, (len(spans)+1)/2)
-		for i := 0; i < len(spans); i += 2 {
-			if i+1 == len(spans) {
-				sp := spans[i]
-				copy(dst[sp.lo:sp.hi], src[sp.lo:sp.hi])
-				next = append(next, sp)
-				continue
-			}
-			a, b := spans[i], spans[i+1]
-			mergeSpill(dst[a.lo:b.hi], src[a.lo:a.hi], src[b.lo:b.hi])
-			next = append(next, span{a.lo, b.hi})
-		}
-		spans = next
-		src, dst = dst, src
-	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
-}
-
-// sortSpillRun sorts a in place using b (same length) as merge scratch:
-// insertion-sorted leaf blocks, then bottom-up merge passes.
-func sortSpillRun(a, b []SpillRecord) {
-	n := len(a)
-	for lo := 0; lo < n; lo += spillSortBlock {
-		hi := lo + spillSortBlock
-		if hi > n {
-			hi = n
-		}
-		insertionSortSpill(a[lo:hi])
-	}
-	if n <= spillSortBlock {
-		return
-	}
-	src, dst := a, b
-	for width := spillSortBlock; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeSpill(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-func insertionSortSpill(a []SpillRecord) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].Kmer.Less(a[j-1].Kmer); j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// mergeSpill merges two sorted runs into dst (len(dst) = len(a)+len(b)).
-func mergeSpill(dst, a, b []SpillRecord) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Kmer.Less(a[i].Kmer) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
-}
+func spillKmer(r *SpillRecord) dna.Kmer { return r.Kmer }

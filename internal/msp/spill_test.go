@@ -1,6 +1,7 @@
 package msp
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,8 +46,8 @@ func TestAppendSpillRecordsMatchesNaiveEnumeration(t *testing.T) {
 
 func TestSortSpillRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 1 << 13, 1<<14 + 17} {
-		for _, workers := range []int{1, 2, 4, 7} {
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 1<<13 - 1, 1 << 13, 3<<13 + 17} {
+		for _, workers := range []int{1, 2, 3, 4, 7, 8, 64} {
 			recs := make([]SpillRecord, n)
 			for i := range recs {
 				recs[i] = SpillRecord{
@@ -121,5 +122,25 @@ func TestSpillZeroAllocs(t *testing.T) {
 		SortSpillRecords(recs, scratch, 1)
 	}); avg != 0 {
 		t.Errorf("SortSpillRecords allocates %.1f per run, want 0", avg)
+	}
+}
+
+// BenchmarkSortSpillRecords sorts one spill run of a 1 MiB partition
+// budget (BufferBytes/2 of 24-byte records) with random k=27 keys.
+func BenchmarkSortSpillRecords(b *testing.B) {
+	const n = (1 << 20) / (2 * SpillRecordBytes)
+	rng := rand.New(rand.NewSource(4))
+	in := make([]SpillRecord, n)
+	for i := range in {
+		in[i] = SpillRecord{Kmer: dna.Kmer{Lo: rng.Uint64() & (1<<54 - 1)}, Edge: uint8(i)}
+	}
+	recs, scratch := make([]SpillRecord, n), make([]SpillRecord, n)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(recs, in)
+				SortSpillRecords(recs, scratch, workers)
+			}
+		})
 	}
 }

@@ -521,12 +521,16 @@ func (m *Manager) runJob(ctx context.Context, id string, resume bool) {
 	// Cross-job admission: the whole job waits at the gate until its
 	// predicted footprint fits under the budget. FIFO order means a heavy
 	// job is never starved by a stream of light ones.
+	release := func() {}
 	if m.gate != nil {
 		if err := m.gate.Acquire(ctx, rec.WeightBytes); err != nil {
 			m.finishJob(ctx, id, nil, err)
 			return
 		}
-		defer m.gate.Release(rec.WeightBytes)
+		// The weight is the build's footprint: it goes back before the
+		// terminal state is journalled, so a finished job holds none.
+		release = sync.OnceFunc(func() { m.gate.Release(rec.WeightBytes) })
+		defer release()
 	}
 
 	if err := m.journalState(id, func(jr *JobRecord) {
@@ -566,6 +570,7 @@ func (m *Manager) runJob(ctx context.Context, id string, resume bool) {
 		// Later attempts resume from whatever the failed one checkpointed.
 		cfg.Checkpoint.Resume = true
 	}
+	release()
 	m.finishJob(ctx, id, res, err)
 }
 
