@@ -51,8 +51,8 @@ func PartitionOnly(reads []fastq.Read, cfg Config) ([]msp.PartitionStats, StepSt
 	if err := fastq.Validate(reads, cfg.K); err != nil {
 		return nil, StepStats{}, err
 	}
-	stats, _, stepStats, err := runStep1(context.Background(), reads, cfg, storeSinks(newSimStore(cfg)))
-	return stats, stepStats, err
+	res, err := runStep1(context.Background(), sliceChunks(reads, cfg.inputChunks()), cfg, storeSinks(newSimStore(cfg)))
+	return res.parts, res.stats, err
 }
 
 // newSimStore creates the in-memory simulated store a checkpoint-less build
@@ -102,49 +102,40 @@ func BuildContext(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return buildWithStore(ctx, reads, cfg, st, ck)
+	return buildWithStore(ctx, cfg, st, ck, sliceChunks(reads, cfg.inputChunks()))
 }
 
-// buildWithStore runs the validated pipeline against a caller-provided
-// store; fault-injection tests use it to exercise IO error paths. A non-nil
-// checkpoint makes the build resumable: completed, verified partitions are
-// skipped and every durable publication is journalled.
-func buildWithStore(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, error) {
+// buildWithStore runs the validated pipeline over the chunks of next
+// against a caller-provided store; fault-injection tests use it to exercise
+// IO error paths. A non-nil checkpoint makes the build resumable:
+// completed, verified partitions are skipped and every durable publication
+// is journalled.
+func buildWithStore(ctx context.Context, cfg Config, st store.PartitionStore, ck *checkpoint, next chunkSource) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	partStats, step1Stats, err := buildStep1(ctx, cfg, st, ck, func(sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-		return runStep1(ctx, reads, cfg, sinks)
-	})
+	step1, err := buildStep1(ctx, cfg, st, ck, next)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
-	subgraphs, works, step2Stats, err := runStep2(ctx, partStats, cfg, st, ck)
+	if step1.reads == 0 {
+		return nil, fmt.Errorf("core: input contains no usable reads")
+	}
+	subgraphs, works, step2Stats, err := runStep2(ctx, step1.parts, cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 2 (subgraph construction): %w", err))
 	}
 
 	res := &Result{Subgraphs: subgraphs}
-	res.Stats.Step1 = step1Stats
+	res.Stats.Step1 = step1.stats
 	res.Stats.Step2 = step2Stats
-	res.Stats.TotalSeconds = step1Stats.Seconds + step2Stats.Seconds
-	res.Stats.Superkmers = msp.SummarizeStats(partStats)
+	res.Stats.TotalSeconds = step1.stats.Seconds + step2Stats.Seconds
+	res.Stats.Superkmers = msp.SummarizeStats(step1.parts)
 	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
-
-	var peak int64
-	chunkBytes := int64(0)
-	chunks := fastq.PartitionReads(reads, cfg.inputChunks())
-	for _, ch := range chunks {
-		if b := fastqBytesOf(ch); b > chunkBytes {
-			chunkBytes = b
-		}
-	}
-	peak = chunkBytes
 	finishStats(&res.Stats, works, ck)
-	if p := res.Stats.PeakMemoryBytes; p > peak {
-		peak = p
-	}
-	res.Stats.PeakMemoryBytes = peak
+	// Peak residency is one in-flight chunk or one partition, whichever is
+	// larger.
+	res.Stats.PeakMemoryBytes = max(res.Stats.PeakMemoryBytes, step1.maxChunkBytes)
 
 	if cfg.KeepSubgraphs {
 		merged, err := graph.Merge(cfg.K, subgraphs...)
@@ -157,15 +148,11 @@ func buildWithStore(ctx context.Context, reads []fastq.Read, cfg Config, st stor
 }
 
 // buildStep1 resolves Step 1 against the checkpoint: fully resumed (no
-// execution), selectively rebuilt (full re-scan, only failed partitions
-// rewritten), or run from scratch. run executes the step with the chosen
-// sinks; it is a closure so the in-memory and streaming entry points share
-// this resume logic.
-func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *checkpoint,
-	run func(partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error),
-) ([]msp.PartitionStats, StepStats, error) {
+// execution, the input is not read), selectively rebuilt (full re-scan,
+// only failed partitions rewritten), or run from scratch.
+func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *checkpoint, next chunkSource) (step1Result, error) {
 	if err := context.Cause(ctx); ctx.Err() != nil {
-		return nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	if ck != nil && ck.step1Complete() {
 		// Every partition file verified: Step 1 costs nothing, and its
@@ -174,22 +161,22 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 		// reporting indexes them safely.
 		procs := processors(cfg)
 		n := len(procs)
-		return ck.partitionStats(), StepStats{
+		return step1Result{parts: ck.partitionStats(), reads: -1, stats: StepStats{
 			ProcessorNames:         procNames(procs),
 			ProcessorBusy:          make([]float64, n),
 			ProcessorUnits:         make([]int64, n),
 			ProcessorParts:         make([]int, n),
 			SoloSeconds:            make([]float64, n),
 			MeasuredProcessorParts: make([]int, n),
-		}, nil
+		}}, nil
 	}
 	sinks := storeSinks(st)
 	if ck != nil && ck.step1Valid {
 		sinks = rebuildSinks(st, ck.step1Rebuild)
 	}
-	partStats, infos, stepStats, err := run(sinks)
+	res, err := runStep1(ctx, next, cfg, sinks)
 	if err != nil {
-		return nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	if ck != nil {
 		// The partition files are durably published (the writer closed);
@@ -197,13 +184,13 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 		// resume, which is safe — the files are simply rewritten.
 		faultinject.MaybeCrash("step1.published")
 		if err := faultinject.MaybeStall(ctx, "step1.published"); err != nil {
-			return nil, StepStats{}, err
+			return step1Result{}, err
 		}
-		if err := ck.recordStep1(partStats, infos); err != nil {
-			return nil, StepStats{}, err
+		if err := ck.recordStep1(res.parts, res.infos); err != nil {
+			return step1Result{}, err
 		}
 	}
-	return partStats, stepStats, nil
+	return res, nil
 }
 
 // finishStats folds the executed partitions' measurements plus the resumed

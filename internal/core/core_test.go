@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"parahash/internal/costmodel"
 	"parahash/internal/fastq"
 	"parahash/internal/graph"
-	"parahash/internal/iosim"
 	"parahash/internal/obs"
 	"parahash/internal/simulate"
 )
@@ -371,10 +369,10 @@ func TestBuildFromReaderBadConfig(t *testing.T) {
 func TestBuildSurfacesWriteFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	boom := errors.New("injected write failure")
 	store.FailWritesOn(superkmerFile(3), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildOn(reads, cfg, store); !errors.Is(err, boom) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
 }
@@ -382,10 +380,10 @@ func TestBuildSurfacesWriteFaults(t *testing.T) {
 func TestBuildSurfacesReadFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	boom := errors.New("injected read failure")
 	store.FailReadsOn(superkmerFile(5), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildOn(reads, cfg, store); !errors.Is(err, boom) {
 		t.Fatalf("read fault not surfaced: %v", err)
 	}
 }
@@ -393,10 +391,10 @@ func TestBuildSurfacesReadFaults(t *testing.T) {
 func TestBuildSurfacesSubgraphWriteFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	boom := errors.New("injected subgraph write failure")
 	store.FailWritesOn(subgraphFile(2), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildOn(reads, cfg, store); !errors.Is(err, boom) {
 		t.Fatalf("subgraph write fault not surfaced: %v", err)
 	}
 }

@@ -76,9 +76,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	if err != nil {
 		return nil, err
 	}
-	partStats, step1Stats, err := buildStep1(ctx, cfg, st, ck, func(sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-		return runStep1(ctx, reads, cfg, sinks)
-	})
+	step1, err := buildStep1(ctx, cfg, st, ck, sliceChunks(reads, cfg.inputChunks()))
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
@@ -98,7 +96,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	for _, rec := range staleRuns {
 		_ = ck.ds.Remove(rec.Name) // best-effort; scrub sweeps leftovers
 	}
-	p := &DistPlan{cfg: cfg, ck: ck, partStats: partStats, step1: step1Stats}
+	p := &DistPlan{cfg: cfg, ck: ck, partStats: step1.parts, step1: step1.stats}
 	// So are any fenced orphans: results the dead fleet published but never
 	// reported. Nothing will ever promote them (their tokens are below the
 	// preserved high-water), so sweep them before leasing the space out.
@@ -329,22 +327,8 @@ func ConstructDistPartition(ctx context.Context, cfg Config, index int, outName 
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	toWrite := out.Graph
-	if cfg.OutputFilterMin > 1 {
-		filtered := &graph.Subgraph{K: toWrite.K,
-			Vertices: append([]graph.Vertex(nil), toWrite.Vertices...)}
-		filtered.FilterByMultiplicity(cfg.OutputFilterMin)
-		toWrite = filtered
-	}
-	sink, err := st.Create(outName)
+	toWrite, err := publishSubgraph(cfg, st, outName, out.Graph)
 	if err != nil {
-		return DistOutput{}, fmt.Errorf("core: creating fenced subgraph %q: %w", outName, err)
-	}
-	if err := toWrite.Write(sink); err != nil {
-		sink.Close()
-		return DistOutput{}, fmt.Errorf("core: writing fenced subgraph %q: %w", outName, err)
-	}
-	if err := sink.Close(); err != nil {
 		return DistOutput{}, err
 	}
 	return DistOutput{

@@ -14,7 +14,18 @@ import (
 	"parahash/internal/iosim"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
+	"parahash/internal/store"
 )
+
+// faultyStore is an in-memory store under the fault-injection layer.
+func faultyStore(cfg Config) *faultinject.Store {
+	return faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+}
+
+// buildOn runs Build's pipeline, without a checkpoint, against st.
+func buildOn(reads []fastq.Read, cfg Config, st store.PartitionStore) (*Result, error) {
+	return buildWithStore(context.Background(), cfg, st, nil, sliceChunks(reads, cfg.inputChunks()))
+}
 
 // serializeGraph renders a merged graph to its canonical byte form.
 func serializeGraph(t *testing.T, g *graph.Subgraph) []byte {
@@ -52,10 +63,10 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	}
 	faulty := cfg
 	faulty.ProcWrap = plan.WrapProcessors
-	store := iosim.NewStore(faulty.Medium)
+	store := faultyStore(faulty)
 	plan.ApplyStore(store)
 
-	res, err := buildWithStore(context.Background(), reads, faulty, store, nil)
+	res, err := buildOn(reads, faulty, store)
 	if err != nil {
 		t.Fatalf("degraded build failed: %v", err)
 	}
@@ -94,9 +105,9 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	}
 
 	// Determinism of the degraded run itself: same plan, same graph.
-	store2 := iosim.NewStore(faulty.Medium)
+	store2 := faultyStore(faulty)
 	plan.ApplyStore(store2)
-	res2, err := buildWithStore(context.Background(), reads, faulty, store2, nil)
+	res2, err := buildOn(reads, faulty, store2)
 	if err != nil {
 		t.Fatalf("second degraded build failed: %v", err)
 	}
@@ -113,12 +124,12 @@ func TestBuildRecoversTransientWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	boom := errors.New("transient subgraph write failure")
 	// Subgraph writes are idempotent (Create truncates), so a transient
 	// write fault must be absorbed by a retry.
 	store.FailWritesNTimes(subgraphFile(2), 1, boom)
-	res, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	res, err := buildOn(reads, cfg, store)
 	if err != nil {
 		t.Fatalf("transient write fault not recovered: %v", err)
 	}
@@ -138,12 +149,12 @@ func TestBuildRecoversCorruptPartitionRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	// The first read of partition 1 serves bit-flipped bytes. The CRC32
 	// footer must catch the corruption and the retry — served from the
 	// intact stored bytes — must recover, end to end.
 	store.CorruptReadsNTimes(superkmerFile(1), 1)
-	res, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	res, err := buildOn(reads, cfg, store)
 	if err != nil {
 		t.Fatalf("corrupt read not recovered: %v", err)
 	}
@@ -158,9 +169,9 @@ func TestBuildRecoversCorruptPartitionRead(t *testing.T) {
 func TestBuildPersistentCorruptionSurfacesTyped(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	store.CorruptReadsNTimes(superkmerFile(4), -1) // every read corrupt
-	_, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	_, err := buildOn(reads, cfg, store)
 	if !errors.Is(err, msp.ErrCorruptPartition) {
 		t.Fatalf("persistent corruption not surfaced as ErrCorruptPartition: %v", err)
 	}
@@ -178,7 +189,7 @@ func TestBuildAllProcessorsDead(t *testing.T) {
 		},
 	}
 	cfg.ProcWrap = plan.WrapProcessors
-	_, err := buildWithStore(context.Background(), reads, cfg, iosim.NewStore(cfg.Medium), nil)
+	_, err := buildOn(reads, cfg, faultyStore(cfg))
 	if !errors.Is(err, pipeline.ErrNoHealthyWorkers) {
 		t.Fatalf("expected ErrNoHealthyWorkers, got: %v", err)
 	}
@@ -190,17 +201,17 @@ func TestBuildAllProcessorsDead(t *testing.T) {
 func TestBuildMissingPartitionFailsFast(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := faultyStore(cfg)
 	// Deleting a partition between the steps models an unrecoverable
 	// loss: ErrNotFound is classified non-retryable, so the build must
 	// not burn its attempt budget re-reading a file that cannot appear.
-	_, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	_, err := buildOn(reads, cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2 := iosim.NewStore(cfg.Medium)
+	store2 := faultyStore(cfg)
 	store2.FailReadsOn(superkmerFile(0), iosim.ErrNotFound)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store2, nil); !errors.Is(err, iosim.ErrNotFound) {
+	if _, err := buildOn(reads, cfg, store2); !errors.Is(err, iosim.ErrNotFound) {
 		t.Fatalf("missing partition not surfaced: %v", err)
 	}
 }

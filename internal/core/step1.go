@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -151,66 +152,126 @@ type step1Work struct {
 	encodedBytes int64
 }
 
-// fastqBytesOf approximates a chunk's on-disk FASTQ footprint.
-func fastqBytesOf(reads []fastq.Read) int64 { return fastq.ApproxFASTQBytes(reads) }
+// chunkSource yields Step 1's input chunks in order and returns
+// pipeline.ErrEndOfInput after the last one.
+type chunkSource func() ([]fastq.Read, error)
 
-// runStep1 executes the MSP graph partitioning step: input chunks flow
-// through the work-stealing pipeline, each consumed by a processor that
-// scans it into superkmers, and the output stage routes superkmers into
-// encoded partition files via the sinks. It also returns each finalised
-// file's footprint (size and record CRC) for the build manifest.
-func runStep1(ctx context.Context, reads []fastq.Read, cfg Config, sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-	chunks := fastq.PartitionReads(reads, cfg.inputChunks())
+// sliceChunks serves in-memory reads in the fixed chunking Build has always
+// used, so the paper-figure schedules see the same chunks.
+func sliceChunks(reads []fastq.Read, n int) chunkSource {
+	chunks := fastq.PartitionReads(reads, n)
+	return func() ([]fastq.Read, error) {
+		if len(chunks) == 0 {
+			return nil, pipeline.ErrEndOfInput
+		}
+		chunk := chunks[0]
+		chunks = chunks[1:]
+		return chunk, nil
+	}
+}
+
+// errInputRead marks a chunk source failure. It is never retried: the
+// source is a stream, and a second read would skip the failed records.
+var errInputRead = errors.New("core: reading input")
+
+// step1Output is one scanned chunk plus the measurements of its reads,
+// which the pipeline drops once the chunk is produced.
+type step1Output struct {
+	device.Step1Output
+	reads, fastqBytes int64
+}
+
+// step1Result is Step 1's outcome.
+type step1Result struct {
+	parts []msp.PartitionStats
+	// infos are the finalised partition files' footprints (size and
+	// record CRC) for the build manifest.
+	infos []msp.FileInfo
+	stats StepStats
+	// reads counts the reads consumed, -1 when Step 1 was resumed.
+	reads int64
+	// maxChunkBytes is the largest chunk's FASTQ footprint, the Step 1
+	// term of the peak-memory estimate.
+	maxChunkBytes int64
+}
+
+// runStep1 executes the MSP graph partitioning step: input chunks from next
+// flow through the work-stealing pipeline, each consumed by a processor
+// that scans it into superkmers, and the output stage routes superkmers
+// into encoded partition files via the sinks.
+func runStep1(ctx context.Context, next chunkSource, cfg Config, sinks partitionSinks) (step1Result, error) {
 	writer, err := msp.NewPartitionWriter(cfg.K, cfg.NumPartitions, sinks)
 	if err != nil {
-		return nil, nil, StepStats{}, err
+		return step1Result{}, err
 	}
 
 	procs := processors(cfg)
-	works := make([]step1Work, len(chunks))
-
-	workers := make([]pipeline.Worker[[]fastq.Read, device.Step1Output], len(procs))
+	workers := make([]pipeline.Worker[[]fastq.Read, step1Output], len(procs))
 	for i, p := range procs {
 		p := p
-		workers[i] = func(ctx context.Context, chunk []fastq.Read) (device.Step1Output, error) {
-			return p.Step1(ctx, chunk, cfg.K, cfg.P)
+		workers[i] = func(ctx context.Context, chunk []fastq.Read) (step1Output, error) {
+			out, err := p.Step1(ctx, chunk, cfg.K, cfg.P)
+			return step1Output{out, int64(len(chunk)), fastq.ApproxFASTQBytes(chunk)}, err
 		}
 	}
 
-	read := func(i int) ([]fastq.Read, error) { return chunks[i], nil }
-	// written tracks each chunk's routed superkmer count so a retried
-	// write resumes where it left off instead of double-routing records.
-	written := make([]int, len(chunks))
-	write := func(i int, out device.Step1Output) error {
-		w := &works[i]
-		w.reads = int64(len(chunks[i]))
-		w.bases = out.Bases
-		w.fastqBytes = fastqBytesOf(chunks[i])
+	// A source error ends the input: the failed chunk fails its slot and
+	// every later read reports the end.
+	failed := false
+	read := func(int) ([]fastq.Read, error) {
+		if failed {
+			return nil, pipeline.ErrEndOfInput
+		}
+		chunk, err := next()
+		if err != nil && !errors.Is(err, pipeline.ErrEndOfInput) {
+			failed = true
+			return nil, fmt.Errorf("%w: %w", errInputRead, err)
+		}
+		return chunk, err
+	}
+	pol := cfg.resiliencePolicy()
+	retryable := pol.Retryable
+	pol.Retryable = func(err error) bool { return !errors.Is(err, errInputRead) && retryable(err) }
+
+	// works holds one record per written chunk, in chunk order. A retried
+	// write of the same chunk resumes after the superkmers already routed
+	// instead of double-routing them.
+	var works []step1Work
+	last := -1
+	write := func(i int, out step1Output) error {
+		if i != last {
+			last = i
+			works = append(works, step1Work{reads: out.reads, bases: out.Bases, fastqBytes: out.fastqBytes})
+		}
+		w := &works[len(works)-1]
 		// The batch is routed by the scan-time partition stamps, so this
-		// sequential stage does no minimizer hashing; a partial batch
-		// resumes after the records already encoded.
-		n, bytes, err := writer.WriteBatch(out.Superkmers[written[i]:])
-		written[i] += n
+		// sequential stage does no minimizer hashing.
+		n, bytes, err := writer.WriteBatch(out.Superkmers[w.superkmers:])
 		w.superkmers += int64(n)
 		w.encodedBytes += bytes
 		return err
 	}
 
-	report, err := pipeline.RunResilientTraced(ctx, len(chunks), read, workers, write, cfg.resiliencePolicy(), stepRecorder(cfg, "step1", procs))
+	report, err := pipeline.Run(ctx, read, workers, write, pol, stepRecorder(cfg, "step1", procs))
 	if err != nil {
 		writer.Close()
-		return nil, nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	if err := writer.Close(); err != nil {
-		return nil, nil, StepStats{}, err
+		return step1Result{}, err
 	}
 
 	stats, err := scheduleStep1(works, cfg, procs)
 	if err != nil {
-		return nil, nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	applyReport(&stats, report, procs)
-	return writer.Stats(), writer.FileInfos(), stats, nil
+	res := step1Result{parts: writer.Stats(), infos: writer.FileInfos(), stats: stats}
+	for _, w := range works {
+		res.reads += w.reads
+		res.maxChunkBytes = max(res.maxChunkBytes, w.fastqBytes)
+	}
+	return res, nil
 }
 
 // step1Cost returns processor p's virtual seconds for one chunk.

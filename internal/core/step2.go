@@ -193,6 +193,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		// A spilling partition is weighed by its bounded run buffer instead:
 		// that is all the memory the sort-merge path holds at once.
 		pol.AdmissionWeight = func(slot int) int64 {
+			if slot == len(pending) {
+				return 0 // the end-of-input probe loads nothing
+			}
 			if plan := plans[slot]; plan != nil {
 				return plan.budget
 			}
@@ -207,6 +210,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 
 	read := func(slot int) (step2Input, error) {
+		if slot == len(pending) {
+			return step2Input{}, pipeline.ErrEndOfInput
+		}
 		in := step2Input{part: pending[slot], spill: plans[slot]}
 		if in.spill != nil && in.spill.mergeOnly != nil {
 			// Merge-only resume: the journalled runs carry everything the
@@ -241,25 +247,11 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			w.mergePasses = out.MergePasses
 			w.spillBufferBytes = plan.budget
 		}
-		toWrite := out.Graph
-		if cfg.OutputFilterMin > 1 {
-			filtered := &graph.Subgraph{K: toWrite.K,
-				Vertices: append([]graph.Vertex(nil), toWrite.Vertices...)}
-			filtered.FilterByMultiplicity(cfg.OutputFilterMin)
-			toWrite = filtered
-		}
-		w.graphBytes = graph.SerializedSize(toWrite.NumVertices())
-		sink, err := st.Create(subgraphFile(i))
+		toWrite, err := publishSubgraph(cfg, st, subgraphFile(i), out.Graph)
 		if err != nil {
-			return fmt.Errorf("core: creating subgraph %d: %w", i, err)
-		}
-		if err := toWrite.Write(sink); err != nil {
-			sink.Close()
-			return fmt.Errorf("core: writing subgraph %d: %w", i, err)
-		}
-		if err := sink.Close(); err != nil {
 			return err
 		}
+		w.graphBytes = graph.SerializedSize(toWrite.NumVertices())
 		// The file is durably published only after Close; journal the
 		// completion now, then honour an armed crash point — a kill here
 		// models power loss with the partition already safe.
@@ -281,7 +273,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		return nil
 	}
 
-	report, err := pipeline.RunResilientTraced(ctx, len(pending), read, workers, write, pol, stepRecorder(cfg, "step2", procs))
+	report, err := pipeline.Run(ctx, read, workers, write, pol, stepRecorder(cfg, "step2", procs))
 	if ck != nil {
 		ck.seal()
 	}
@@ -295,6 +287,28 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 	applyReport(&stats, report, procs)
 	return subgraphs, works, stats, nil
+}
+
+// publishSubgraph writes g under name, keeping only vertices of at least
+// cfg.OutputFilterMin multiplicity, and returns the graph as written. The
+// store makes the file visible only once it is complete.
+func publishSubgraph(cfg Config, st store.PartitionStore, name string, g *graph.Subgraph) (*graph.Subgraph, error) {
+	if cfg.OutputFilterMin > 1 {
+		g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
+		g.FilterByMultiplicity(cfg.OutputFilterMin)
+	}
+	sink, err := st.Create(name)
+	if err != nil {
+		return nil, fmt.Errorf("core: creating subgraph %q: %w", name, err)
+	}
+	if err := g.Write(sink); err != nil {
+		sink.Close()
+		return nil, fmt.Errorf("core: writing subgraph %q: %w", name, err)
+	}
+	if err := sink.Close(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the

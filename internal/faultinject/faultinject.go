@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic, scripted fault plans for
 // exercising the resilient pipeline: transient and persistent IO faults,
-// served-byte corruption, disk-full and slow-IO faults (via the store
-// hooks of iosim.Store or this package's Store wrapper), processor faults
+// served-byte corruption, disk-full and slow-IO faults (via this package's
+// Store wrapper, which layers them over any store), processor faults
 // — a device.Processor that drops out mid-run, fails or hangs a scripted
 // set of Step2 calls, modelling a GPU dying or wedging under load — and
 // plan-scoped stall/cancel points fired at named pipeline sites.
@@ -343,7 +343,7 @@ type Plan struct {
 }
 
 // IOFaultSink is the store-side fault surface a Plan scripts against.
-// Both iosim.Store and this package's Store wrapper implement it.
+// This package's Store wrapper implements it.
 type IOFaultSink interface {
 	FailReadsOn(name string, err error)
 	FailReadsNTimes(name string, n int, err error)

@@ -35,7 +35,7 @@ func cpu() device.Processor {
 }
 
 func TestApplyStoreTransientAndPersistent(t *testing.T) {
-	s := iosim.NewStore(costmodel.MediumMemCached)
+	s := WrapStore(iosim.NewStore(costmodel.MediumMemCached))
 	w, _ := s.Create("a")
 	if _, err := io.WriteString(w, "content"); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestApplyStoreTransientAndPersistent(t *testing.T) {
 }
 
 func TestApplyStoreCorruption(t *testing.T) {
-	s := iosim.NewStore(costmodel.MediumMemCached)
+	s := WrapStore(iosim.NewStore(costmodel.MediumMemCached))
 	w, _ := s.Create("p")
 	if _, err := io.WriteString(w, "partition bytes"); err != nil {
 		t.Fatal(err)

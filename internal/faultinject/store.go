@@ -10,13 +10,13 @@ import (
 	"parahash/internal/store"
 )
 
-// Store wraps any store.PartitionStore with scripted IO faults, so the
-// same fault vocabulary iosim.Store offers in memory — fail-N-then-succeed
-// reads and writes, served-byte corruption — applies to the durable
-// diskstore too, plus two fault dimensions only the wrapper provides:
-// wall-clock IO latency (SlowReadsNTimes/SlowWritesNTimes) and a device
-// capacity budget (SetCapacityBytes) that turns further writes into
-// store.ErrDiskFull once exhausted, modelling ENOSPC deterministically.
+// Store wraps any store.PartitionStore — the in-memory iosim store or the
+// durable diskstore — with scripted IO faults: fail-N-then-succeed reads
+// and writes, served-byte corruption, wall-clock IO latency
+// (SlowReadsNTimes/SlowWritesNTimes) and a device capacity budget
+// (SetCapacityBytes) that turns further writes into store.ErrDiskFull once
+// exhausted, modelling ENOSPC deterministically. It is the only
+// store-level fault layer.
 //
 // The wrapper never touches the inner store's bytes: a corrupt read serves
 // a bit-flipped copy of intact underlying data, and a failed or rejected
@@ -43,7 +43,7 @@ var (
 	_ capacitySink         = (*Store)(nil)
 )
 
-// storeFault mirrors iosim's scripted fault: remaining < 0 fires forever,
+// storeFault is one scripted IO fault: remaining < 0 fires forever,
 // remaining > 0 counts down a transient fault.
 type storeFault struct {
 	err       error
@@ -174,8 +174,8 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 
 // Open serves the inner file, interposing read faults, latency and
 // corruption. Corruption reads the intact inner snapshot and flips one
-// bit in the served copy, exactly like iosim, so integrity footers must
-// catch it downstream and a clean re-read recovers.
+// bit in the served copy, so integrity footers must catch it downstream
+// and a clean re-read recovers.
 func (s *Store) Open(name string) (io.Reader, error) {
 	s.mu.Lock()
 	delay, slow := s.slowReads[name].take()

@@ -23,7 +23,7 @@ func TestConformance(t *testing.T) {
 // Open, never by Read calls on the returned snapshot reader. A budget of one
 // therefore fails exactly one Open, no matter how the survivor is consumed.
 func TestReadFaultChargedPerOpen(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faultyStore()
 	writeFile(t, s, "f", "0123456789")
 	boom := errors.New("flaky")
 	s.FailReadsNTimes("f", 1, boom)

@@ -7,9 +7,17 @@ import (
 	"testing"
 
 	"parahash/internal/costmodel"
+	"parahash/internal/faultinject"
+	"parahash/internal/store"
 )
 
-func writeFile(t *testing.T, s *Store, name, content string) {
+// faultyStore wraps an in-memory store in the fault-injection layer, the
+// one place scripted IO faults live.
+func faultyStore() *faultinject.Store {
+	return faultinject.WrapStore(NewStore(costmodel.MediumMemCached))
+}
+
+func writeFile(t *testing.T, s store.PartitionStore, name, content string) {
 	t.Helper()
 	w, err := s.Create(name)
 	if err != nil {
@@ -23,7 +31,7 @@ func writeFile(t *testing.T, s *Store, name, content string) {
 	}
 }
 
-func readFile(t *testing.T, s *Store, name string) []byte {
+func readFile(t *testing.T, s store.PartitionStore, name string) []byte {
 	t.Helper()
 	r, err := s.Open(name)
 	if err != nil {
@@ -46,25 +54,8 @@ func TestOpenMissingIsErrNotFound(t *testing.T) {
 	}
 }
 
-func TestFailReadsNTimesIsTransient(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
-	writeFile(t, s, "f", "payload")
-	boom := errors.New("flaky")
-	s.FailReadsNTimes("f", 2, boom)
-	for i := 0; i < 2; i++ {
-		if _, err := s.Open("f"); !errors.Is(err, boom) {
-			t.Fatalf("open %d: err = %v, want boom", i, err)
-		}
-	}
-	if got := readFile(t, s, "f"); string(got) != "payload" {
-		t.Fatalf("recovered read = %q", got)
-	}
-	// The fault is consumed: later reads keep succeeding.
-	readFile(t, s, "f")
-}
-
 func TestFailReadsOnIsPersistent(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faultyStore()
 	writeFile(t, s, "f", "payload")
 	boom := errors.New("dead")
 	s.FailReadsOn("f", boom)
@@ -78,52 +69,8 @@ func TestFailReadsOnIsPersistent(t *testing.T) {
 	readFile(t, s, "f")
 }
 
-func TestFailWritesNTimesIsTransient(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
-	boom := errors.New("disk hiccup")
-	s.FailWritesNTimes("f", 1, boom)
-	w, _ := s.Create("f")
-	if _, err := io.WriteString(w, "x"); !errors.Is(err, boom) {
-		t.Fatalf("first write err = %v, want boom", err)
-	}
-	if _, err := io.WriteString(w, "hello"); err != nil {
-		t.Fatalf("second write failed after transient fault: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, s, "f"); string(got) != "hello" {
-		t.Fatalf("file = %q, want %q", got, "hello")
-	}
-}
-
-func TestCorruptReadsNTimesServesFlippedCopy(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
-	want := "some partition bytes"
-	writeFile(t, s, "f", want)
-	s.CorruptReadsNTimes("f", 1)
-
-	got := readFile(t, s, "f")
-	if bytes.Equal(got, []byte(want)) {
-		t.Fatal("corrupt read served intact bytes")
-	}
-	diff := 0
-	for i := range got {
-		if got[i] != want[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bytes differ, want exactly 1 flipped", diff)
-	}
-	// The stored file is untouched: the re-read recovers.
-	if got := readFile(t, s, "f"); string(got) != want {
-		t.Fatalf("re-read = %q, want intact %q", got, want)
-	}
-}
-
 func TestCorruptReadsPersistent(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faultyStore()
 	want := "bytes"
 	writeFile(t, s, "f", want)
 	s.CorruptReadsNTimes("f", -1)

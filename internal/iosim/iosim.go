@@ -23,26 +23,6 @@ import (
 // resilient pipeline treats it as non-retryable.
 var ErrNotFound = store.ErrNotFound
 
-// fault is one scripted IO fault. remaining < 0 means the fault fires on
-// every access (the original persistent hooks); remaining > 0 counts down a
-// transient fail-N-then-succeed fault.
-type fault struct {
-	err       error
-	remaining int
-}
-
-// take reports whether the fault fires for this access and consumes one
-// shot of a transient fault.
-func (f *fault) take() bool {
-	if f == nil || f.remaining == 0 {
-		return false
-	}
-	if f.remaining > 0 {
-		f.remaining--
-	}
-	return true
-}
-
 // Store is a named collection of in-memory files with byte accounting,
 // implementing store.PartitionStore. All methods are safe for concurrent
 // use.
@@ -54,9 +34,6 @@ type Store struct {
 	files        map[string]*bytes.Buffer
 	bytesRead    int64
 	bytesWritten int64
-	writeFaults  map[string]*fault
-	readFaults   map[string]*fault
-	corruptions  map[string]int
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -77,33 +54,16 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open returns a reader over a file's current content. The content is
-// copied at open time, so concurrent writers do not disturb readers, and a
-// scripted read fault (FailReadsNTimes) charges its budget exactly once per
-// Open — never per Read call on the returned snapshot reader.
+// copied at open time, so concurrent writers do not disturb readers.
 func (s *Store) Open(name string) (io.Reader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.readFaults[name]; f.take() {
-		return nil, fmt.Errorf("iosim: reading %q: %w", name, f.err)
-	}
 	buf, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	data := make([]byte, buf.Len())
 	copy(data, buf.Bytes())
-	if n := s.corruptions[name]; n != 0 && len(data) > 0 {
-		// Flip one bit in the middle of the served copy; the stored file
-		// stays intact, so a re-read after integrity detection recovers.
-		data[len(data)/2] ^= 0x01
-		if n > 0 {
-			if n--; n == 0 {
-				delete(s.corruptions, name)
-			} else {
-				s.corruptions[name] = n
-			}
-		}
-	}
 	s.bytesRead += int64(len(data))
 	return bytes.NewReader(data), nil
 }
@@ -186,9 +146,6 @@ type countingWriter struct {
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	if f := w.store.writeFaults[w.name]; f.take() {
-		return 0, fmt.Errorf("iosim: writing %q: %w", w.name, f.err)
-	}
 	n, err := w.buf.Write(p)
 	w.store.bytesWritten += int64(n)
 	return n, err
@@ -206,63 +163,4 @@ func (w *countingWriter) Close() error {
 	w.closed = true
 	w.store.files[w.name] = w.buf
 	return nil
-}
-
-// Fault injection: experiments and tests use these hooks to verify that
-// pipeline stages surface IO failures cleanly instead of wedging.
-
-// FailWritesOn makes every Write to the named file (existing or future)
-// return err. Passing a nil error clears the fault.
-func (s *Store) FailWritesOn(name string, err error) {
-	s.setFault(&s.writeFaults, name, -1, err)
-}
-
-// FailReadsOn makes every Open of the named file return err.
-func (s *Store) FailReadsOn(name string, err error) {
-	s.setFault(&s.readFaults, name, -1, err)
-}
-
-// FailWritesNTimes makes the next n Writes to the named file return err,
-// then lets writes succeed again — a transient fail-N-then-succeed fault.
-func (s *Store) FailWritesNTimes(name string, n int, err error) {
-	s.setFault(&s.writeFaults, name, n, err)
-}
-
-// FailReadsNTimes makes the next n Opens of the named file return err, then
-// lets reads succeed again.
-func (s *Store) FailReadsNTimes(name string, n int, err error) {
-	s.setFault(&s.readFaults, name, n, err)
-}
-
-// CorruptReadsNTimes makes the next n Opens of the named file serve a copy
-// with one bit flipped; negative n corrupts every Open. The stored bytes
-// are untouched, so a reader that detects the corruption (e.g. via the msp
-// integrity footer) recovers by re-reading — unless the corruption is
-// persistent. n = 0 clears the fault.
-func (s *Store) CorruptReadsNTimes(name string, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.corruptions == nil {
-		s.corruptions = make(map[string]int)
-	}
-	if n == 0 {
-		delete(s.corruptions, name)
-		return
-	}
-	s.corruptions[name] = n
-}
-
-// setFault installs or clears a fault in the given map. n < 0 is
-// persistent; a nil error clears.
-func (s *Store) setFault(m *map[string]*fault, name string, n int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if *m == nil {
-		*m = make(map[string]*fault)
-	}
-	if err == nil || n == 0 {
-		delete(*m, name)
-		return
-	}
-	(*m)[name] = &fault{err: err, remaining: n}
 }

@@ -183,7 +183,7 @@ func readFileT(t *testing.T, s *Store, name string) []byte {
 }
 
 func TestFaultInjection(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faultyStore()
 	boom := io.ErrClosedPipe
 	s.FailWritesOn("bad", boom)
 	w, _ := s.Create("bad")

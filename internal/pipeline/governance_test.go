@@ -38,10 +38,10 @@ func TestRunCanceledContextStopsRun(t *testing.T) {
 	cause := errors.New("operator interrupt")
 	cancel(cause)
 
-	_, err := Run(ctx, 100,
-		func(i int) (int, error) { return i, nil },
+	_, err := Run(ctx, upTo(100,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+		func(i, o int) error { return nil }, Policy{}, nil)
 	if err == nil || !errors.Is(err, cause) {
 		t.Fatalf("Run under canceled ctx returned %v, want cause %v", err, cause)
 	}
@@ -73,11 +73,11 @@ func TestRunResilientCancelMidRunIsLeakFreeAndKeepsWrites(t *testing.T) {
 		cancel(cause)
 	}()
 
-	rep, err := RunResilient(ctx, n,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(ctx, upTo(n,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{worker, worker},
 		func(i, o int) error { written.Add(1); return nil },
-		Policy{MaxAttempts: 3})
+		Policy{MaxAttempts: 3}, nil)
 
 	if err == nil || !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want wrapped cause %v", err, cause)
@@ -115,11 +115,11 @@ func TestRunResilientWatchdogKillsHungAttempt(t *testing.T) {
 	}
 	ok := func(_ context.Context, x int) (int, error) { return x, nil }
 
-	rep, err := RunResilient(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(n,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{hang, ok},
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 3, AttemptTimeout: 20 * time.Millisecond})
+		Policy{MaxAttempts: 3, AttemptTimeout: 20 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
@@ -155,13 +155,20 @@ func TestRunResilientWatchdogQuarantinesRepeatOffender(t *testing.T) {
 		<-wctx.Done()
 		return 0, wctx.Err()
 	}
-	ok := func(_ context.Context, x int) (int, error) { return x, nil }
+	// Worker 1 is busy for a moment on each slot, so while it works the
+	// idle worker 0 claims queued slots too and reaches the threshold;
+	// an instant worker 1 could win every claim after worker 0's first
+	// kill and finish the run with worker 0 still in service.
+	ok := func(_ context.Context, x int) (int, error) {
+		time.Sleep(2 * time.Millisecond)
+		return x, nil
+	}
 
-	rep, err := RunResilient(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(n,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{hang, ok},
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 5, QuarantineAfter: 2, AttemptTimeout: 20 * time.Millisecond})
+		Policy{MaxAttempts: 5, QuarantineAfter: 2, AttemptTimeout: 20 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
@@ -185,11 +192,11 @@ func TestRunResilientWatchdogTimeoutDisabledByDefault(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return x, nil
 	}
-	rep, err := RunResilient(context.Background(), 2,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(2,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{slow},
 		func(i, o int) error { return nil },
-		Policy{})
+		Policy{}, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
@@ -207,21 +214,29 @@ func TestRunResilientAdmissionSerializesUnderTightBudget(t *testing.T) {
 	// Every partition weighs 60 bytes: only one fits at a time, so the run
 	// serialises but still completes with peak residency under budget.
 	var inFlight, maxInFlight atomic.Int64
-	rep, runErr := RunResilient(context.Background(), n,
+	rep, runErr := Run(context.Background(), upTo(n,
 		func(i int) (int, error) {
 			if cur := inFlight.Add(1); cur > maxInFlight.Load() {
 				maxInFlight.Store(cur)
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{
 			func(_ context.Context, x int) (int, error) { return x, nil },
 			func(_ context.Context, x int) (int, error) { return x, nil },
 		},
 		func(i, o int) error { inFlight.Add(-1); return nil },
-		Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 60 }})
+		Policy{Admission: gate, AdmissionWeight: func(i int) int64 {
+			if i >= n {
+				return 0 // the end-of-input probe holds no memory
+			}
+			return 60
+		}}, nil)
 	if runErr != nil {
 		t.Fatalf("run failed: %v", runErr)
+	}
+	if len(rep.Written) != n {
+		t.Fatalf("Written has %d entries, want %d", len(rep.Written), n)
 	}
 	for i, w := range rep.Written {
 		if !w {
@@ -265,14 +280,14 @@ func TestRunResilientCancelWhileQueuedForAdmissionReleasesGate(t *testing.T) {
 			cancel(cause)
 			close(release)
 		}()
-		return RunResilient(ctx, 2,
-			func(i int) (int, error) { return i, nil },
+		return Run(ctx, upTo(2,
+			func(i int) (int, error) { return i, nil }),
 			[]Worker[int, int]{func(wctx context.Context, x int) (int, error) {
 				<-wctx.Done()
 				return 0, wctx.Err()
 			}},
 			func(i, o int) error { return nil },
-			Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 10 }})
+			Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 10 }}, nil)
 	}()
 	<-release
 	if runErr == nil || !errors.Is(runErr, cause) {

@@ -4,12 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// upTo ends a test input after n slots.
+func upTo[I any](n int, read func(i int) (I, error)) func(int) (I, error) {
+	return func(i int) (I, error) {
+		if i >= n {
+			var zero I
+			return zero, ErrEndOfInput
+		}
+		return read(i)
+	}
+}
 
 func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 	const n = 50
@@ -25,10 +37,11 @@ func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 		got = append(got, i)
 		return nil
 	}
-	assignment, err := Run(context.Background(), n, read, workers, write)
+	rep, err := Run(context.Background(), upTo(n, read), workers, write, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assignment := rep.Assignment
 	if len(got) != n {
 		t.Fatalf("wrote %d partitions, want %d", len(got), n)
 	}
@@ -60,8 +73,8 @@ func TestRunWorkStealing(t *testing.T) {
 			return x, nil
 		}
 	}
-	_, err := Run(context.Background(), n, func(i int) (int, error) { return i, nil }, workers,
-		func(i, o int) error { return nil })
+	_, err := Run(context.Background(), upTo(n, func(i int) (int, error) { return i, nil }), workers,
+		func(i, o int) error { return nil }, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +89,15 @@ func TestRunWorkStealing(t *testing.T) {
 
 func TestRunReadError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), 10,
+	_, err := Run(context.Background(), upTo(10,
 		func(i int) (int, error) {
 			if i == 3 {
 				return 0, boom
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+		func(i, o int) error { return nil }, Policy{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("read error not surfaced: %v", err)
 	}
@@ -92,15 +105,15 @@ func TestRunReadError(t *testing.T) {
 
 func TestRunWorkerError(t *testing.T) {
 	boom := errors.New("kaput")
-	_, err := Run(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	_, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) {
 			if x == 5 {
 				return 0, boom
 			}
 			return x, nil
 		}},
-		func(i, o int) error { return nil })
+		func(i, o int) error { return nil }, Policy{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("worker error not surfaced: %v", err)
 	}
@@ -108,38 +121,80 @@ func TestRunWorkerError(t *testing.T) {
 
 func TestRunWriteError(t *testing.T) {
 	boom := errors.New("disk full")
-	_, err := Run(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	_, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
 		func(i, o int) error {
 			if i == 7 {
 				return boom
 			}
 			return nil
-		})
+		}, Policy{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("write error not surfaced: %v", err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), -1, func(i int) (int, error) { return 0, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(int, int) error { return nil }); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := Run[int, int](context.Background(), 5, func(i int) (int, error) { return 0, nil }, nil,
-		func(int, int) error { return nil }); err == nil {
+	if _, err := Run[int, int](context.Background(), upTo(5, func(i int) (int, error) { return 0, nil }), nil,
+		func(int, int) error { return nil }, Policy{}, nil); err == nil {
 		t.Error("no workers accepted")
 	}
 }
 
 func TestRunZeroPartitions(t *testing.T) {
-	_, err := Run(context.Background(), 0, func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+	// ErrEndOfInput at slot 0: nothing is computed or written, and the
+	// report is empty.
+	var calls atomic.Int64
+	rep, err := Run(context.Background(), upTo(0, func(i int) (int, error) { return i, nil }),
+		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { calls.Add(1); return x, nil }},
+		func(i, o int) error { calls.Add(1); return nil }, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls.Load() != 0 || len(rep.Assignment) != 0 || len(rep.Written) != 0 {
+		t.Fatalf("empty input: %d stage calls, report %+v", calls.Load(), rep)
+	}
+}
+
+func TestRunEndOfInputSizesReport(t *testing.T) {
+	// ErrEndOfInput at slot n sizes the report to n slots, all written.
+	// A read error that merely wraps io.EOF is a failed slot, not the end.
+	const n = 7
+	var reads atomic.Int64
+	rep, err := Run(context.Background(), func(i int) (int, error) {
+		reads.Add(1)
+		if i == n {
+			return 0, ErrEndOfInput
+		}
+		if i > n {
+			t.Errorf("read(%d) called after the end of input", i)
+		}
+		return i, nil
+	}, []Worker[int, int]{okWorker, okWorker}, func(i, o int) error { return nil }, Policy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Assignment) != n || len(rep.Written) != n {
+		t.Fatalf("report sized %d/%d, want %d", len(rep.Assignment), len(rep.Written), n)
+	}
+	for i, w := range rep.Written {
+		if !w {
+			t.Errorf("slot %d not written", i)
+		}
+	}
+	if reads.Load() != n+1 {
+		t.Errorf("read called %d times, want %d", reads.Load(), n+1)
+	}
+
+	rep, err = Run(context.Background(), upTo(3, func(i int) (int, error) {
+		if i == 1 {
+			return 0, fmt.Errorf("decoding: %w", io.EOF)
+		}
+		return i, nil
+	}), []Worker[int, int]{okWorker}, func(i, o int) error { return nil }, Policy{}, nil)
+	if !errors.Is(err, io.EOF) || len(rep.Written) != 3 || rep.Written[1] || !rep.Written[2] {
+		t.Fatalf("wrapped io.EOF: err %v, written %v; want slot 1 failed, slot 2 written", err, rep.Written)
 	}
 }
 
@@ -148,14 +203,17 @@ func TestRunAssignmentOnFailure(t *testing.T) {
 	// before the sentinel, untouched partitions were mis-attributed to
 	// worker 0 (the zero value).
 	boom := errors.New("boom")
-	assignment, err := Run(context.Background(), 8,
-		func(i int) (int, error) { return 0, boom },
+	rep, err := Run(context.Background(), upTo(8,
+		func(i int) (int, error) { return 0, boom }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+		func(i, o int) error { return nil }, Policy{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("read error not surfaced: %v", err)
 	}
-	for i, w := range assignment {
+	if len(rep.Assignment) != 8 {
+		t.Fatalf("assignment has %d entries, want 8", len(rep.Assignment))
+	}
+	for i, w := range rep.Assignment {
 		if w != -1 {
 			t.Errorf("partition %d attributed to worker %d on failure, want -1", i, w)
 		}
@@ -163,37 +221,202 @@ func TestRunAssignmentOnFailure(t *testing.T) {
 }
 
 func TestRunPromptShutdown(t *testing.T) {
-	// Once a stage has failed, a worker must stop at claim time — not fully
-	// process the partition it claims next because srv already covers it.
-	// read(2) fails after signalling; the sole worker holds partition 0
-	// until the failure is guaranteed recorded, then must never run
-	// partition 1.
-	readFailed := make(chan struct{})
+	// Once the run is canceled, a worker must stop at claim time — not
+	// fully process the slot it claims next because it is already queued.
+	// The sole worker, holding slot 0, waits until slot 1 is queued, then
+	// cancels the run; it must never run slot 1.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued := make(chan struct{})
 	var processed [3]atomic.Bool
 	read := func(i int) (int, error) {
-		if i == 2 {
-			close(readFailed)
-			return 0, errors.New("input torn")
+		if i == 1 {
+			close(queued)
 		}
 		return i, nil
 	}
 	worker := func(_ context.Context, x int) (int, error) {
 		if x == 0 {
-			<-readFailed
-			// The failed flag is set by the reader after read returns; give
-			// it time to land so the claim-time check is actually exercised.
+			<-queued
+			time.Sleep(20 * time.Millisecond) // let slot 1 land in the queue
+			cancel()
+			// The canceled flag is set by the run's watcher after cancel
+			// returns; give it time to land so the claim-time check is
+			// actually exercised.
 			time.Sleep(50 * time.Millisecond)
 		}
 		processed[x].Store(true)
 		return x, nil
 	}
-	_, err := Run(context.Background(), 3, read, []Worker[int, int]{worker},
-		func(i, o int) error { return nil })
-	if err == nil {
-		t.Fatal("expected read failure")
+	_, err := Run(ctx, upTo(3, read), []Worker[int, int]{worker},
+		func(i, o int) error { return nil }, Policy{}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation", err)
 	}
 	if processed[1].Load() {
-		t.Error("worker processed partition 1 after the pipeline had failed")
+		t.Error("worker processed slot 1 after the run was canceled")
+	}
+}
+
+func TestRunReadAheadStopsAtWindow(t *testing.T) {
+	// While the writer is stuck on slot 0, the read stage reads exactly
+	// 2×len(workers) slots and then waits.
+	const n = 40
+	workers := []Worker[int, int]{okWorker, okWorker, okWorker}
+	var reads atomic.Int64
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), upTo(n, func(i int) (int, error) {
+			reads.Add(1)
+			return i, nil
+		}), workers, func(i, o int) error {
+			if i == 0 {
+				<-release
+			}
+			return nil
+		}, Policy{}, nil)
+		done <- err
+	}()
+	want := int64(2 * len(workers))
+	deadline := time.Now().Add(5 * time.Second)
+	for reads.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a runaway reader to show
+	if got := reads.Load(); got != want {
+		t.Errorf("read %d slots while the writer held slot 0, want %d", got, want)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := reads.Load(); got != n {
+		t.Errorf("read %d slots, want %d", got, n)
+	}
+}
+
+// windowCheck verifies the read-ahead bound from outside the runner. The
+// writer's true position is the first slot that is not yet terminal
+// (written or permanently failed); the checker marks slots terminal no
+// later than the runner does, so its position is never behind the
+// writer's and a read it flags is a real window violation.
+type windowCheck struct {
+	mu       sync.Mutex
+	limit    int
+	terminal map[int]bool
+	maxAhead int
+}
+
+func (c *windowCheck) done(i int) {
+	c.mu.Lock()
+	c.terminal[i] = true
+	c.mu.Unlock()
+}
+
+func (c *windowCheck) read(i int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pos := 0
+	for c.terminal[pos] {
+		pos++
+	}
+	if ahead := i - pos + 1; ahead > c.maxAhead {
+		c.maxAhead = ahead
+	}
+}
+
+func TestRunReadAheadWindowUnderFaults(t *testing.T) {
+	const n = 60
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		// workers builds the run's workers over the checker; cancelAt,
+		// when positive, cancels the run once that many slots are written.
+		workers  func(c *windowCheck) []Worker[int, int]
+		write    func(c *windowCheck, i int) error
+		pol      Policy
+		cancelAt int64
+		wantErr  bool
+	}{
+		{
+			name: "write failures",
+			workers: func(*windowCheck) []Worker[int, int] {
+				return []Worker[int, int]{okWorker, okWorker}
+			},
+			write: func(c *windowCheck, i int) error {
+				if i%3 == 0 {
+					return boom
+				}
+				return nil
+			},
+			pol:     Policy{MaxAttempts: 2},
+			wantErr: true,
+		},
+		{
+			name: "work failures",
+			workers: func(c *windowCheck) []Worker[int, int] {
+				w := func(_ context.Context, x int) (int, error) {
+					if x%5 == 0 {
+						c.done(x) // one attempt: the failure is final
+						return 0, boom
+					}
+					return x, nil
+				}
+				return []Worker[int, int]{w, w}
+			},
+			pol:     Policy{MaxAttempts: 1},
+			wantErr: true,
+		},
+		{
+			name: "quarantine",
+			workers: func(*windowCheck) []Worker[int, int] {
+				dead := func(context.Context, int) (int, error) { return 0, boom }
+				return []Worker[int, int]{okWorker, dead, okWorker}
+			},
+			pol: Policy{MaxAttempts: 3, QuarantineAfter: 1},
+		},
+		{
+			name: "cancellation",
+			workers: func(*windowCheck) []Worker[int, int] {
+				return []Worker[int, int]{okWorker, okWorker}
+			},
+			cancelAt: 10,
+			wantErr:  true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := goroutineFence(t)
+			workers := tc.workers(nil)
+			c := &windowCheck{limit: 2 * len(workers), terminal: map[int]bool{}}
+			workers = tc.workers(c)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var written atomic.Int64
+			_, err := Run(ctx, upTo(n, func(i int) (int, error) {
+				c.read(i)
+				return i, nil
+			}), workers, func(i, o int) error {
+				c.done(i)
+				time.Sleep(100 * time.Microsecond) // let the reader run ahead
+				if tc.write != nil {
+					if err := tc.write(c, i); err != nil {
+						return err
+					}
+				}
+				if written.Add(1) == tc.cancelAt {
+					cancel()
+				}
+				return nil
+			}, tc.pol, nil)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if c.maxAhead > c.limit {
+				t.Errorf("read stage ran %d slots ahead of the writer, limit %d", c.maxAhead, c.limit)
+			}
+			check()
+		})
 	}
 }
 
@@ -218,10 +441,10 @@ func (l *spanLog) StageSpan(stage string, partition, worker int, start, end time
 func TestRunTracedRecordsSpans(t *testing.T) {
 	const n = 10
 	var log spanLog
-	_, err := RunTraced(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
+	_, err := Run(context.Background(), upTo(n,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil },
+		func(i, o int) error { return nil }, Policy{},
 		&log)
 	if err != nil {
 		t.Fatal(err)

@@ -13,28 +13,38 @@ import (
 func okWorker(_ context.Context, x int) (int, error) { return x, nil }
 
 func TestRunResilientFaultFreeMatchesRun(t *testing.T) {
+	// A fault-free run under a retrying, quarantining policy writes exactly
+	// what a sequential read-compute-write loop over the same input does.
 	const n = 64
+	read := func(i int) (int, error) { return i * 7 % 11, nil }
+	square := func(_ context.Context, x int) (int, error) { return x * x, nil }
+	var want []int
+	for i := 0; i < n; i++ {
+		x, _ := read(i)
+		y, _ := square(context.Background(), x)
+		want = append(want, y)
+	}
+
 	var got []int
-	rep, err := RunResilient(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{okWorker, okWorker, okWorker},
+	rep, err := Run(context.Background(), upTo(n, read),
+		[]Worker[int, int]{square, square, square},
 		func(i, o int) error {
-			if o != i {
-				return fmt.Errorf("partition %d produced %d", i, o)
+			if i != len(got) {
+				return fmt.Errorf("slot %d written out of order", i)
 			}
-			got = append(got, i)
+			got = append(got, o)
 			return nil
 		},
-		Policy{MaxAttempts: 3, QuarantineAfter: 2})
+		Policy{MaxAttempts: 3, QuarantineAfter: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != n {
-		t.Fatalf("wrote %d partitions, want %d", len(got), n)
+		t.Fatalf("wrote %d slots, want %d", len(got), n)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("output order broken at %d: %d", i, v)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slot %d wrote %d, sequential oracle %d", i, got[i], want[i])
 		}
 	}
 	if rep.Retries != 0 || rep.Requeues != 0 || len(rep.Quarantined) != 0 || rep.BackoffSeconds != 0 {
@@ -50,16 +60,16 @@ func TestRunResilientFaultFreeMatchesRun(t *testing.T) {
 func TestRunResilientRetriesTransientRead(t *testing.T) {
 	boom := errors.New("flaky disk")
 	var failures atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := Run(context.Background(), upTo(10,
 		func(i int) (int, error) {
 			if i == 4 && failures.Add(1) <= 2 {
 				return 0, boom
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 3, BackoffSeconds: 0.5})
+		Policy{MaxAttempts: 3, BackoffSeconds: 0.5}, nil)
 	if err != nil {
 		t.Fatalf("transient read fault not recovered: %v", err)
 	}
@@ -80,17 +90,17 @@ func TestRunResilientRetriesTransientRead(t *testing.T) {
 func jitteredBackoffRun(t *testing.T, jitter float64, seed int64) float64 {
 	t.Helper()
 	var failures [10]atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := Run(context.Background(), upTo(10,
 		func(i int) (int, error) {
 			if i%3 == 0 && failures[i].Add(1) <= 2 {
 				return 0, errors.New("flaky disk")
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error { return nil },
 		Policy{MaxAttempts: 3, BackoffSeconds: 0.5,
-			BackoffJitter: jitter, BackoffJitterSeed: seed})
+			BackoffJitter: jitter, BackoffJitterSeed: seed}, nil)
 	if err != nil {
 		t.Fatalf("transient faults not recovered: %v", err)
 	}
@@ -128,11 +138,11 @@ func TestRunResilientBackoffJitter(t *testing.T) {
 
 func TestRunResilientBackoffJitterValidation(t *testing.T) {
 	for _, j := range []float64{-0.1, 1.5} {
-		_, err := RunResilient(context.Background(), 1,
-			func(i int) (int, error) { return i, nil },
+		_, err := Run(context.Background(), upTo(1,
+			func(i int) (int, error) { return i, nil }),
 			[]Worker[int, int]{okWorker},
 			func(i, o int) error { return nil },
-			Policy{MaxAttempts: 2, BackoffJitter: j})
+			Policy{MaxAttempts: 2, BackoffJitter: j}, nil)
 		if err == nil {
 			t.Errorf("BackoffJitter=%g accepted, want validation error", j)
 		}
@@ -141,16 +151,16 @@ func TestRunResilientBackoffJitterValidation(t *testing.T) {
 
 func TestRunResilientReadRetriesExhausted(t *testing.T) {
 	boom := errors.New("dead disk")
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := Run(context.Background(), upTo(10,
 		func(i int) (int, error) {
 			if i == 3 {
 				return 0, boom
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 2})
+		Policy{MaxAttempts: 2}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("persistent read fault not surfaced: %v", err)
 	}
@@ -162,17 +172,17 @@ func TestRunResilientReadRetriesExhausted(t *testing.T) {
 func TestRunResilientNonRetryableFailsFast(t *testing.T) {
 	fatal := errors.New("no such file")
 	var reads atomic.Int64
-	_, err := RunResilient(context.Background(), 4,
+	_, err := Run(context.Background(), upTo(4,
 		func(i int) (int, error) {
 			if i == 1 {
 				reads.Add(1)
 				return 0, fatal
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 5, Retryable: func(err error) bool { return !errors.Is(err, fatal) }})
+		Policy{MaxAttempts: 5, Retryable: func(err error) bool { return !errors.Is(err, fatal) }}, nil)
 	if !errors.Is(err, fatal) {
 		t.Fatalf("non-retryable error not surfaced: %v", err)
 	}
@@ -191,8 +201,8 @@ func TestRunResilientWorkerErrorRetriedMidStream(t *testing.T) {
 		return 2 * x, nil
 	}
 	var got []int
-	rep, err := RunResilient(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{worker},
 		func(i, o int) error {
 			if o != 2*i {
@@ -201,7 +211,7 @@ func TestRunResilientWorkerErrorRetriedMidStream(t *testing.T) {
 			got = append(got, i)
 			return nil
 		},
-		Policy{MaxAttempts: 2})
+		Policy{MaxAttempts: 2}, nil)
 	if err != nil {
 		t.Fatalf("worker fault mid-stream not recovered: %v", err)
 	}
@@ -217,7 +227,7 @@ func TestRunResilientAggregatesAllPartitionErrors(t *testing.T) {
 	boomA := errors.New("fault A")
 	boomB := errors.New("fault B")
 	var written atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := Run(context.Background(), upTo(10,
 		func(i int) (int, error) {
 			switch i {
 			case 2:
@@ -226,10 +236,10 @@ func TestRunResilientAggregatesAllPartitionErrors(t *testing.T) {
 				return 0, boomB
 			}
 			return i, nil
-		},
+		}),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error { written.Add(1); return nil },
-		Policy{MaxAttempts: 1})
+		Policy{MaxAttempts: 1}, nil)
 	if !errors.Is(err, boomA) || !errors.Is(err, boomB) {
 		t.Fatalf("aggregated error missing a partition fault: %v", err)
 	}
@@ -244,8 +254,8 @@ func TestRunResilientAggregatesAllPartitionErrors(t *testing.T) {
 func TestRunResilientWriteErrorAfterPartialOutput(t *testing.T) {
 	boom := errors.New("disk full")
 	var got []int
-	rep, err := RunResilient(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error {
 			if i == 7 {
@@ -254,7 +264,7 @@ func TestRunResilientWriteErrorAfterPartialOutput(t *testing.T) {
 			got = append(got, i)
 			return nil
 		},
-		Policy{MaxAttempts: 2})
+		Policy{MaxAttempts: 2}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
@@ -279,8 +289,8 @@ func TestRunResilientWriteErrorAfterPartialOutput(t *testing.T) {
 
 func TestRunResilientWrittenMarksDurablePartitions(t *testing.T) {
 	boom := errors.New("disk full")
-	rep, err := RunResilient(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error {
 			if i == 7 {
@@ -288,7 +298,7 @@ func TestRunResilientWrittenMarksDurablePartitions(t *testing.T) {
 			}
 			return nil
 		},
-		Policy{MaxAttempts: 2})
+		Policy{MaxAttempts: 2}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
@@ -324,14 +334,14 @@ func TestRunResilientQuarantineWithOneSurvivor(t *testing.T) {
 		},
 	}
 	var got []int
-	rep, err := RunResilient(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(n,
+		func(i int) (int, error) { return i, nil }),
 		workers,
 		func(i, o int) error {
 			got = append(got, o)
 			return nil
 		},
-		Policy{MaxAttempts: 3, QuarantineAfter: 2})
+		Policy{MaxAttempts: 3, QuarantineAfter: 2}, nil)
 	if err != nil {
 		t.Fatalf("build failed despite a healthy survivor: %v", err)
 	}
@@ -357,11 +367,11 @@ func TestRunResilientAllWorkersQuarantined(t *testing.T) {
 		func(_ context.Context, x int) (int, error) { return 0, dead },
 		func(_ context.Context, x int) (int, error) { return 0, dead },
 	}
-	rep, err := RunResilient(context.Background(), 20,
-		func(i int) (int, error) { return i, nil },
+	rep, err := Run(context.Background(), upTo(20,
+		func(i int) (int, error) { return i, nil }),
 		workers,
 		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 5, QuarantineAfter: 1})
+		Policy{MaxAttempts: 5, QuarantineAfter: 1}, nil)
 	if !errors.Is(err, ErrNoHealthyWorkers) {
 		t.Fatalf("expected ErrNoHealthyWorkers, got: %v", err)
 	}
@@ -371,22 +381,21 @@ func TestRunResilientAllWorkersQuarantined(t *testing.T) {
 	if len(rep.Quarantined) != 2 {
 		t.Errorf("quarantined = %v, want both workers", rep.Quarantined)
 	}
-	if len(rep.FailedPartitions) != 20 {
-		t.Errorf("failed partitions = %d, want all 20", len(rep.FailedPartitions))
+	// The read stage stops once no worker is left, so only the slots read
+	// by then exist — and every one of them failed.
+	if n := len(rep.Assignment); n == 0 || n >= 20 || len(rep.FailedPartitions) != n {
+		t.Errorf("failed %d of %d slots read, want every slot read failed and the stream stopped early",
+			len(rep.FailedPartitions), n)
 	}
 }
 
 func TestRunResilientValidationAndZero(t *testing.T) {
-	if _, err := RunResilient(context.Background(), -1, func(i int) (int, error) { return 0, nil },
-		[]Worker[int, int]{okWorker}, func(int, int) error { return nil }, Policy{}); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := RunResilient[int, int](context.Background(), 5, func(i int) (int, error) { return 0, nil },
-		nil, func(int, int) error { return nil }, Policy{}); err == nil {
+	if _, err := Run[int, int](context.Background(), upTo(5, func(i int) (int, error) { return 0, nil }),
+		nil, func(int, int) error { return nil }, Policy{}, nil); err == nil {
 		t.Error("no workers accepted")
 	}
-	rep, err := RunResilient(context.Background(), 0, func(i int) (int, error) { return 0, nil },
-		[]Worker[int, int]{okWorker}, func(int, int) error { return nil }, Policy{})
+	rep, err := Run(context.Background(), upTo(0, func(i int) (int, error) { return 0, nil }),
+		[]Worker[int, int]{okWorker}, func(int, int) error { return nil }, Policy{}, nil)
 	if err != nil || len(rep.Assignment) != 0 {
 		t.Errorf("zero partitions: %v %+v", err, rep)
 	}
@@ -397,8 +406,8 @@ func TestRunResilientZeroPolicyFailsFastButAggregates(t *testing.T) {
 	// like Run, but with error aggregation instead of first-error abort.
 	boom := errors.New("boom")
 	var processed atomic.Int64
-	_, err := RunResilient(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
+	_, err := Run(context.Background(), upTo(10,
+		func(i int) (int, error) { return i, nil }),
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) {
 			if x%2 == 1 {
 				return 0, boom
@@ -407,7 +416,7 @@ func TestRunResilientZeroPolicyFailsFastButAggregates(t *testing.T) {
 			return x, nil
 		}},
 		func(i, o int) error { return nil },
-		Policy{})
+		Policy{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("worker fault not surfaced: %v", err)
 	}
@@ -436,13 +445,13 @@ func TestRunResilientStress(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := make([]int, 0, n)
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := Run(context.Background(), upTo(n,
 		func(i int) (int, error) {
 			if i%17 == 0 && !readFailed[i].Swap(true) {
 				return 0, transient
 			}
 			return i, nil
-		},
+		}),
 		workers,
 		func(i, o int) error {
 			if i%19 == 0 && !writeFailed[i].Swap(true) {
@@ -456,7 +465,7 @@ func TestRunResilientStress(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		Policy{MaxAttempts: 3, QuarantineAfter: 50, BackoffSeconds: 0.001})
+		Policy{MaxAttempts: 3, QuarantineAfter: 50, BackoffSeconds: 0.001}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -574,7 +574,8 @@ func (m *Manager) runJob(ctx context.Context, id string, resume bool) {
 	m.finishJob(ctx, id, res, err)
 }
 
-// buildOnce runs one build attempt under the job's deadline.
+// buildOnce runs one build attempt under the job's deadline, streaming the
+// spooled input; an attempt that resumes a complete Step 1 never reads it.
 func (m *Manager) buildOnce(ctx context.Context, id string, cfg parahash.Config) (*parahash.Result, error) {
 	attemptCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -596,11 +597,7 @@ func (m *Manager) buildOnce(ctx context.Context, id string, cfg parahash.Config)
 		return nil, fmt.Errorf("server: opening job input: %w", err)
 	}
 	defer f.Close()
-	reads, err := parahash.ParseReads(f)
-	if err != nil {
-		return nil, fmt.Errorf("server: re-parsing job input: %w", err)
-	}
-	return parahash.BuildContext(attemptCtx, reads, cfg)
+	return parahash.BuildFromReaderContext(attemptCtx, f, cfg)
 }
 
 // retryable classifies a build failure. Deterministic failures — disk

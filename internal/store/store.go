@@ -42,8 +42,9 @@ var ErrDiskFull = errors.New("store: disk full")
 //     leaves a partial file under the final name.
 //   - Open returns a reader over a snapshot of the file's content taken at
 //     open time: concurrent writers never disturb an open reader, and any
-//     scripted read fault (iosim's FailReadsNTimes) charges its fault budget
-//     exactly once per Open — never per Read call on the returned reader.
+//     scripted read fault (faultinject's FailReadsNTimes) charges its fault
+//     budget exactly once per Open — never per Read call on the returned
+//     reader.
 //   - Size and Open return an error wrapping ErrNotFound for absent names.
 //   - Remove deletes a file if present; removing an absent file is not an
 //     error.
