@@ -188,6 +188,9 @@ func TestCrashResumeE2E(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("resumed output differs from uninterrupted run")
 	}
+	if !bytes.Equal(b, naiveOut(t, 0)) {
+		t.Fatal("resumed output differs from the naive oracle")
+	}
 }
 
 // TestCrashResumeHelper is the re-exec target for TestCrashResumeE2E; it is

@@ -133,6 +133,20 @@ func TestDistE2E(t *testing.T) {
 	}
 }
 
+// withWorkerHelper makes -workers builds in this test re-execute the test
+// binary into TestDistWorkerHelper instead of the installed binary.
+func withWorkerHelper(t *testing.T) {
+	orig := workerCommand
+	t.Cleanup(func() { workerCommand = orig })
+	workerCommand = func(args []string) (*exec.Cmd, error) {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestDistWorkerHelper$")
+		cmd.Env = append(os.Environ(),
+			"PARAHASH_E2E_HELPER=1",
+			"PARAHASH_E2E_ARGS="+strings.Join(args, "\x1f"))
+		return cmd, nil
+	}
+}
+
 // TestDistWorkerHelper is the re-exec target for TestDistE2E; a no-op in a
 // normal test run. It exits the process directly so the test framework's
 // "PASS" line never lands on stdout, which is the worker protocol channel.

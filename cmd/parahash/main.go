@@ -156,6 +156,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := parahash.DefaultConfig()
+	// The CLI holds no graph: -out streams a merge of the published
+	// subgraph files (Result.WriteGraph).
+	cfg.KeepSubgraphs = false
 	cfg.K = *k
 	cfg.P = *p
 	cfg.NumPartitions = *partitions
@@ -205,7 +208,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 	if *checkpointDir != "" {
-		// -filter stays a post-hoc in-memory filter (it never changes the
+		// -filter applies only while -out streams (it never changes the
 		// checkpointed partition bytes), so it does not join the manifest
 		// fingerprint here.
 		cfg.Checkpoint = parahash.CheckpointConfig{
@@ -303,16 +306,29 @@ func run(args []string, stdout io.Writer) error {
 			d.Workers, d.Spawned, d.LeaseGrants, d.LeaseExpiries, d.Reassignments, d.FencedWrites, d.WorkerQuarantines)
 	}
 
-	if *filterMin > 1 {
-		removed := res.Graph.FilterByMultiplicity(*filterMin)
-		fmt.Fprintf(stdout, "filtered %d vertices below multiplicity %d; %d remain\n",
-			removed, *filterMin, res.Graph.NumVertices())
-	}
-	if *outPath != "" {
-		if err := writeFileAtomicCtx(ctx, *outPath, res.Graph.Write); err != nil {
+	if *outPath != "" || *filterMin > 1 {
+		var kept int64
+		write := func(w io.Writer) (err error) {
+			kept, err = res.WriteGraph(w, *filterMin)
 			return err
 		}
-		fmt.Fprintf(stdout, "graph written to %s\n", *outPath)
+		var err error
+		if *outPath != "" {
+			err = writeFileAtomicCtx(ctx, *outPath, write)
+		} else {
+			// No -out: the merge still runs, to report what -filter keeps.
+			err = write(io.Discard)
+		}
+		if err != nil {
+			return err
+		}
+		if *filterMin > 1 {
+			fmt.Fprintf(stdout, "filtered %d vertices below multiplicity %d; %d remain\n",
+				res.Stats.DistinctVertices-kept, *filterMin, kept)
+		}
+		if *outPath != "" {
+			fmt.Fprintf(stdout, "graph written to %s\n", *outPath)
+		}
 	}
 
 	if *metricsJSON != "" {
@@ -465,8 +481,9 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		cfg.K, cfg.P, cfg.NumPartitions)
 	fmt.Fprintf(w, "  distinct vertices:  %d\n", s.DistinctVertices)
 	fmt.Fprintf(w, "  duplicate vertices: %d\n", s.DuplicateVertices)
-	fmt.Fprintf(w, "  edges (directed):   %d\n", res.Graph.NumEdges())
-	fmt.Fprintf(w, "  peak memory:        %.1f MB\n", float64(s.PeakMemoryBytes)/(1<<20))
+	fmt.Fprintf(w, "  edges (directed):   %d\n", s.Edges)
+	fmt.Fprintf(w, "  peak memory:        %.1f MB predicted by Property 1; %s\n",
+		float64(s.PeakMemoryBytes)/(1<<20), measuredRSS())
 	fmt.Fprintf(w, "virtual time (calibrated to the paper's hardware):\n")
 	fmt.Fprintf(w, "  step 1 (MSP partitioning):    %.4fs (pipelined; %.4fs unpipelined)\n",
 		s.Step1.Seconds, s.Step1.NonPipelinedSeconds)
@@ -524,6 +541,16 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		fmt.Fprintf(w, "out-of-core: %d partitions spilled (%d auto-routed), %d runs, %.1f MB spilled, %d merge passes\n",
 			sp.Partitions, sp.AutoRouted, sp.Runs, float64(sp.SpilledBytes)/(1<<20), sp.MergePasses)
 	}
+}
+
+// measuredRSS reports this process's peak resident set so far, from
+// getrusage(RUSAGE_SELF); on Linux ru_maxrss is in KiB.
+func measuredRSS() string {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return "max RSS unavailable: " + err.Error()
+	}
+	return fmt.Sprintf("%.1f MB max RSS measured", float64(ru.Maxrss)/(1<<10))
 }
 
 func probesPerAccess(h parahash.HashStats) float64 {

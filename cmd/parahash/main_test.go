@@ -67,6 +67,62 @@ func TestRunFileInput(t *testing.T) {
 	}
 }
 
+// naiveOut returns the serialized graph.BuildNaive oracle of the tiny
+// profile, keeping vertices of at least min multiplicity.
+func naiveOut(t *testing.T, min int) []byte {
+	t.Helper()
+	d, err := parahash.GenerateDataset(parahash.TinyProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := parahash.BuildNaive(d.Reads, 27).WriteFiltered(&buf, min); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOutMatchesNaiveOracle: every build path streams -out from the
+// published subgraph files, and each must equal the serialized naive graph.
+func TestOutMatchesNaiveOracle(t *testing.T) {
+	withWorkerHelper(t)
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		ck    bool
+		min   int
+		check string
+	}{
+		{name: "in-core"},
+		{name: "spill", args: []string{"-partition-mem-budget", "2K"}, check: "out-of-core: 8 partitions spilled"},
+		{name: "gpus", args: []string{"-gpus", "1"}},
+		{name: "workers", args: []string{"-workers", "2"}, ck: true, check: "distributed build: 2 workers"},
+		{name: "filter", args: []string{"-filter", "2"}, min: 2, check: "filtered"},
+		{name: "filter spill workers", args: []string{"-filter", "2", "-partition-mem-budget", "2K", "-workers", "2"}, ck: true, min: 2},
+	} {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "g.dbg")
+		args := append([]string{"-profile", "tiny", "-partitions", "8", "-threads", "4", "-out", out}, tc.args...)
+		if tc.ck {
+			args = append(args, "-checkpoint-dir", filepath.Join(dir, "ck"))
+		}
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, buf.String())
+		}
+		if !strings.Contains(buf.String(), tc.check) || !strings.Contains(buf.String(), "max RSS measured") {
+			t.Errorf("%s: summary lacks %q or the measured RSS:\n%s", tc.name, tc.check, buf.String())
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, naiveOut(t, tc.min)) {
+			t.Errorf("%s: -out differs from the naive oracle", tc.name)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                   // no input

@@ -9,6 +9,7 @@ import (
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
 	"parahash/internal/iosim"
+	"parahash/internal/manifest"
 	"parahash/internal/msp"
 	"parahash/internal/store"
 )
@@ -143,8 +144,27 @@ func buildWithStore(ctx context.Context, cfg Config, st store.PartitionStore, ck
 			return nil, err
 		}
 		res.Graph = merged
+	} else {
+		res.store, res.k = st, cfg.K
+		res.published = publishedRecords(len(step1.parts), works, ck)
 	}
 	return res, nil
+}
+
+// publishedRecords lists every partition's published subgraph record in
+// partition order: the executed partitions' from their works, the resumed
+// ones' from the checkpoint, which verified them.
+func publishedRecords(np int, works []step2Work, ck *checkpoint) []manifest.Step2Partition {
+	recs := make([]manifest.Step2Partition, np)
+	for _, w := range works {
+		recs[w.rec.Index] = w.rec
+	}
+	if ck != nil {
+		for i, rec := range ck.step2Skip {
+			recs[i] = rec
+		}
+	}
+	return recs
 }
 
 // buildStep1 resolves Step 1 against the checkpoint: fully resumed (no
@@ -194,12 +214,15 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 }
 
 // finishStats folds the executed partitions' measurements plus the resumed
-// partitions' journalled counts into the run stats, leaving the largest
-// single-partition residency in PeakMemoryBytes.
+// partitions' journalled vertex and edge counts into the run stats,
+// leaving the largest single-partition residency in PeakMemoryBytes.
 func finishStats(st *Stats, works []step2Work, ck *checkpoint) {
 	st.PeakMemoryBytes = foldStep2Works(st, works)
 	if ck != nil {
-		st.DistinctVertices += ck.resumedDistinct()
+		for _, rec := range ck.step2Skip {
+			st.DistinctVertices += rec.Distinct
+			st.Edges += rec.Edges
+		}
 		st.ResumedPartitions = ck.resumed
 		st.RebuiltPartitions = ck.rebuilt()
 	}

@@ -147,7 +147,7 @@ func (ck *checkpoint) assess(cfg Config) {
 	ck.step1Valid = true
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
-			if g, ok := ck.verifySubgraph(rec); ok {
+			if g, ok := verifySubgraphFile(ck.ds, rec, cfg.KeepSubgraphs); ok {
 				ck.step2Skip[i] = *rec
 				if cfg.KeepSubgraphs {
 					ck.subgraphs[i] = g
@@ -184,11 +184,6 @@ func (ck *checkpoint) verifyStep1(rec *manifest.Step1Partition) bool {
 	return verifyStep1File(ck.ds, rec)
 }
 
-// verifySubgraph checks a claimed subgraph file against the durable store.
-func (ck *checkpoint) verifySubgraph(rec *manifest.Step2Partition) (*graph.Subgraph, bool) {
-	return verifySubgraphFile(ck.ds, rec)
-}
-
 // verifyStep1File checks a claimed partition file: present, the recorded
 // size, and a full decode under RequireFooter whose record CRC matches the
 // manifest's independently recorded checksum. Resume assessment and the
@@ -217,26 +212,69 @@ func verifyStep1File(ds store.PartitionStore, rec *manifest.Step1Partition) bool
 	return dec.Sum32() == rec.CRC32
 }
 
-// verifySubgraphFile checks a claimed subgraph file: present, the recorded
-// size, parseable, and carrying the recorded vertex count. On success it
-// returns the parsed graph so a KeepSubgraphs build reuses the
-// verification parse.
-func verifySubgraphFile(ds store.PartitionStore, rec *manifest.Step2Partition) (*graph.Subgraph, bool) {
+// verifySubgraphFile checks a claimed subgraph file: openSubgraph's size
+// and vertex-count checks, then a full streaming read (SubgraphReader's
+// record count and k-mer order). With keep it also returns the parsed
+// graph, so a KeepSubgraphs build reuses the verification read; otherwise
+// it holds one read buffer, never the graph.
+func verifySubgraphFile(ds store.PartitionStore, rec *manifest.Step2Partition, keep bool) (*graph.Subgraph, bool) {
 	if rec == nil {
 		return nil, false
 	}
-	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
-		return nil, false
-	}
-	r, err := ds.Open(rec.Name)
+	sr, err := openSubgraph(ds, *rec)
 	if err != nil {
 		return nil, false
 	}
-	g, err := graph.ReadSubgraph(r)
-	if err != nil || int64(g.NumVertices()) != rec.Vertices {
-		return nil, false
+	g, _, err := scanSubgraph(sr, keep)
+	return g, err == nil
+}
+
+// scanSubgraph reads sr to its end and counts the directed edges; with keep
+// it also returns the graph read, grown as records arrive so a corrupt
+// header cannot claim a huge allocation.
+func scanSubgraph(sr *graph.SubgraphReader, keep bool) (*graph.Subgraph, int64, error) {
+	var g *graph.Subgraph
+	if keep {
+		g = &graph.Subgraph{K: sr.K(), Vertices: make([]graph.Vertex, 0, min(sr.Count(), 1<<20))}
 	}
-	return g, true
+	var edges int64
+	for {
+		var v graph.Vertex
+		ok, err := sr.Next(&v)
+		if err != nil || !ok {
+			return g, edges, err
+		}
+		edges += int64(v.Degree())
+		if keep {
+			g.Vertices = append(g.Vertices, v)
+		}
+	}
+}
+
+// openSubgraph opens a published subgraph file for streaming once it
+// matches its record: present, the recorded size, and a header declaring
+// the recorded vertex count, which that size holds exactly.
+func openSubgraph(st store.PartitionStore, rec manifest.Step2Partition) (*graph.SubgraphReader, error) {
+	sz, err := st.Size(rec.Name)
+	if err != nil {
+		return nil, fmt.Errorf("core: subgraph %q: %w", rec.Name, err)
+	}
+	if sz != rec.Bytes {
+		return nil, fmt.Errorf("%w: subgraph %q is %d bytes, recorded %d", graph.ErrBadFormat, rec.Name, sz, rec.Bytes)
+	}
+	r, err := st.Open(rec.Name)
+	if err != nil {
+		return nil, fmt.Errorf("core: subgraph %q: %w", rec.Name, err)
+	}
+	sr, err := graph.NewSubgraphReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: subgraph %q: %w", rec.Name, err)
+	}
+	if sr.Count() != rec.Vertices || graph.SerializedSize(int(rec.Vertices)) != sz {
+		return nil, fmt.Errorf("%w: subgraph %q declares %d vertices in %d bytes, recorded %d",
+			graph.ErrBadFormat, rec.Name, sr.Count(), sz, rec.Vertices)
+	}
+	return sr, nil
 }
 
 // verifySpillRuns checks every journalled run of a partition: present, the
@@ -317,26 +355,20 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 }
 
 // markStep2 journals one partition's Step 2 completion after its subgraph
-// file has been durably published. written is the graph as written (after
-// any output filtering); distinct is the constructed pre-filter vertex
-// count, preserved so resumed runs keep exact graph-size accounting. Any
-// spill claims the partition accumulated are dropped in the same atomic
-// save — the subgraph supersedes its runs — and the run files are removed
+// file has been durably published. rec describes the file as written
+// (after any output filtering) and keeps the constructed pre-filter vertex
+// count, so resumed runs keep exact graph-size accounting. Any spill
+// claims the partition accumulated are dropped in the same atomic save —
+// the subgraph supersedes its runs — and the run files are removed
 // afterwards (a crash in between leaves unjournalled orphans, swept by
 // Scrub).
-func (ck *checkpoint) markStep2(i int, written *graph.Subgraph, distinct int64) error {
+func (ck *checkpoint) markStep2(rec manifest.Step2Partition) error {
+	i := rec.Index
 	var spilled []manifest.SpillRun
 	if err := ck.journal(func() bool {
 		spilled = ck.man.SpillRunsFor(i)
 		ck.man.DropSpill(i)
-		ck.man.SetStep2(manifest.Step2Partition{
-			Index:    i,
-			Name:     subgraphFile(i),
-			Bytes:    graph.SerializedSize(written.NumVertices()),
-			Vertices: int64(written.NumVertices()),
-			Edges:    int64(written.NumEdges()),
-			Distinct: distinct,
-		})
+		ck.man.SetStep2(rec)
 		return true
 	}); err != nil {
 		return err
@@ -422,16 +454,6 @@ func (ck *checkpoint) clearSpillClaims(i int) error {
 		ck.man.DropSpill(i)
 		return true
 	})
-}
-
-// resumedDistinct sums the skipped partitions' constructed vertex counts,
-// folded into Stats.DistinctVertices alongside the re-executed partitions.
-func (ck *checkpoint) resumedDistinct() int64 {
-	var total int64
-	for _, rec := range ck.step2Skip {
-		total += rec.Distinct
-	}
-	return total
 }
 
 // rebuilt returns how many claimed partitions failed verification.

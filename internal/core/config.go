@@ -121,7 +121,9 @@ type Config struct {
 	Calibration costmodel.Calibration
 
 	// KeepSubgraphs retains every constructed subgraph in the result (and
-	// merges them into Result.Graph). Disable for size-only runs.
+	// merges them into Result.Graph). Disable to hold no graph: each
+	// subgraph is dropped once published, and Result.WriteGraph streams
+	// the published files.
 	KeepSubgraphs bool
 
 	// ExcludeGraphOutput drops the Step 2 subgraph write-out from the

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"parahash/internal/costmodel"
@@ -40,6 +43,9 @@ func TestBuildMatchesNaiveReference(t *testing.T) {
 	if !res.Graph.Equal(want) {
 		t.Fatalf("ParaHash graph differs from naive: %d vs %d vertices",
 			res.Graph.NumVertices(), want.NumVertices())
+	}
+	if res.Stats.Edges != int64(want.NumEdges()) {
+		t.Errorf("Stats.Edges = %d, want %d", res.Stats.Edges, want.NumEdges())
 	}
 }
 
@@ -241,19 +247,73 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildWithoutKeepingSubgraphs: a KeepSubgraphs=false build holds no
+// graph, yet WriteGraph streams the same bytes (and edge count) as the
+// naive oracle, filtered or not — in memory, checkpointed and resumed —
+// and fails typed once a published file no longer matches its record.
 func TestBuildWithoutKeepingSubgraphs(t *testing.T) {
 	reads := tinyReads(t)
+	naive := graph.BuildNaive(reads, 27)
+	oracle := func(min int) []byte {
+		var buf bytes.Buffer
+		if _, err := naive.WriteFiltered(&buf, min); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(name string, res *Result) {
+		t.Helper()
+		if res.Graph != nil || res.Subgraphs != nil {
+			t.Errorf("%s: subgraphs retained despite KeepSubgraphs=false", name)
+		}
+		if res.Stats.DistinctVertices == 0 {
+			t.Errorf("%s: stats missing in size-only mode", name)
+		}
+		if res.Stats.Edges != int64(naive.NumEdges()) {
+			t.Errorf("%s: Stats.Edges = %d, want %d", name, res.Stats.Edges, naive.NumEdges())
+		}
+		for _, min := range []int{0, 3} {
+			var got bytes.Buffer
+			if _, err := res.WriteGraph(&got, min); err != nil {
+				t.Fatalf("%s, min %d: %v", name, min, err)
+			}
+			if !bytes.Equal(got.Bytes(), oracle(min)) {
+				t.Errorf("%s, min %d: WriteGraph differs from the naive oracle", name, min)
+			}
+		}
+	}
 	cfg := tinyConfig()
 	cfg.KeepSubgraphs = false
 	res, err := Build(reads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Graph != nil || res.Subgraphs != nil {
-		t.Error("subgraphs retained despite KeepSubgraphs=false")
+	check("in-memory", res)
+
+	cfg.Checkpoint = CheckpointConfig{Dir: t.TempDir(), InputLabel: "test:tiny"}
+	if res, err = Build(reads, cfg); err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.DistinctVertices == 0 {
-		t.Error("stats missing in size-only mode")
+	check("checkpointed", res)
+	cfg.Checkpoint.Resume = true
+	if res, err = Build(reads, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ResumedPartitions != cfg.NumPartitions {
+		t.Fatalf("resumed %d of %d partitions", res.Stats.ResumedPartitions, cfg.NumPartitions)
+	}
+	check("resumed", res)
+
+	victim := filepath.Join(cfg.Checkpoint.Dir, "data", filepath.FromSlash(subgraphFile(3)))
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.WriteGraph(io.Discard, 0); !errors.Is(err, graph.ErrBadFormat) {
+		t.Fatalf("WriteGraph over a truncated subgraph: err = %v, want ErrBadFormat", err)
 	}
 }
 

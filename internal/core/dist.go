@@ -152,14 +152,26 @@ func (p *DistPlan) PromoteFenced(i int, token int64, distinct int64) error {
 	if err != nil {
 		return fmt.Errorf("core: reading fenced subgraph %q: %w", name, err)
 	}
-	g, err := graph.ReadSubgraph(r)
+	sr, err := graph.NewSubgraphReader(r)
+	var g *graph.Subgraph
+	var edges int64
+	if err == nil {
+		g, edges, err = scanSubgraph(sr, p.cfg.KeepSubgraphs)
+	}
 	if err != nil {
 		return fmt.Errorf("core: fenced subgraph %q is corrupt: %w", name, err)
 	}
 	if err := p.ck.ds.Rename(name, subgraphFile(i)); err != nil {
 		return fmt.Errorf("core: promoting fenced subgraph %q: %w", name, err)
 	}
-	if err := p.ck.markStep2(i, g, distinct); err != nil {
+	if err := p.ck.markStep2(manifest.Step2Partition{
+		Index:    i,
+		Name:     subgraphFile(i),
+		Bytes:    graph.SerializedSize(int(sr.Count())),
+		Vertices: sr.Count(),
+		Edges:    edges,
+		Distinct: distinct,
+	}); err != nil {
 		return err
 	}
 	if p.cfg.KeepSubgraphs {
@@ -219,7 +231,9 @@ func (p *DistPlan) Done() bool {
 // Finish assembles the run result after every partition is journalled,
 // folding the coordinator's distributed-governance counters into the
 // stats. With KeepSubgraphs the canonical subgraph files are re-read and
-// merged — the same artifacts a resume would trust.
+// merged — the same artifacts a resume would trust. Without, nothing is
+// read: Result.WriteGraph streams the files against their journalled
+// records.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	if !p.Done() {
 		return nil, fmt.Errorf("core: distributed build incomplete: %d of %d partitions journalled",
@@ -233,12 +247,19 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
 	for _, rec := range p.ck.man.Step2 {
 		res.Stats.DistinctVertices += rec.Distinct
+		res.Stats.Edges += rec.Edges
 	}
 	res.Stats.DuplicateVertices = res.Stats.TotalKmers - res.Stats.DistinctVertices
 	res.Stats.ResumedPartitions = p.ck.resumed
 	res.Stats.RebuiltPartitions = p.ck.rebuilt()
 	res.Stats.Dist = &dist
-	if p.cfg.KeepSubgraphs {
+	if !p.cfg.KeepSubgraphs {
+		res.store, res.k = p.ck.ds, p.cfg.K
+		res.published = make([]manifest.Step2Partition, p.cfg.NumPartitions)
+		for i := range res.published {
+			res.published[i] = *p.ck.man.Step2For(i)
+		}
+	} else {
 		subgraphs := make([]*graph.Subgraph, p.cfg.NumPartitions)
 		for i := 0; i < p.cfg.NumPartitions; i++ {
 			if g, ok := p.ck.subgraphs[i]; ok {
@@ -246,7 +267,7 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 				continue
 			}
 			rec := p.ck.man.Step2For(i)
-			g, ok := verifySubgraphFile(p.ck.ds, rec)
+			g, ok := verifySubgraphFile(p.ck.ds, rec, true)
 			if !ok {
 				return nil, fmt.Errorf("core: journalled subgraph %d failed verification at finish", i)
 			}

@@ -137,7 +137,7 @@ func Scrub(dir string) (ScrubReport, error) {
 	}
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
-			if _, ok := verifySubgraphFile(ds, rec); ok {
+			if _, ok := verifySubgraphFile(ds, rec, false); ok {
 				rep.Step2Verified++
 			} else {
 				rep.Step2Damaged++

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
+	"io"
+
 	"parahash/internal/graph"
+	"parahash/internal/manifest"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
+	"parahash/internal/store"
 )
 
 // StepStats records one step's virtual-time performance and workload
@@ -180,6 +185,10 @@ type Stats struct {
 	PeakMemoryBytes int64
 	// DistinctVertices is the constructed graph size (Table I).
 	DistinctVertices int64
+	// Edges counts the distinct directed (vertex, side, base) edges of the
+	// published subgraphs, summed partition by partition as each is
+	// written (or, for a resumed partition, as its file verifies).
+	Edges int64
 	// DuplicateVertices is total k-mer instances minus distinct (Table I).
 	DuplicateVertices int64
 	// TotalKmers is N(L-K+1) summed over reads.
@@ -256,4 +265,39 @@ type Result struct {
 	Subgraphs []*graph.Subgraph
 	// Stats records the run's measurements.
 	Stats Stats
+
+	// Without KeepSubgraphs, store holds the build's published subgraph
+	// files and published records each one, in partition order, for
+	// WriteGraph's streaming merge.
+	store     store.PartitionStore
+	k         int
+	published []manifest.Step2Partition
+}
+
+// WriteGraph writes the merged graph in the PHDG format, keeping only the
+// vertices whose multiplicity is at least minMultiplicity (all of them
+// when it is 0 or 1), and returns how many it wrote. With Graph set it
+// serialises Graph, which it leaves unchanged. Otherwise it streams a
+// k-way merge of the build's published subgraph files, holding one read
+// buffer per partition and no graph; each file must still have the size
+// and vertex count its build recorded. The bytes are the same either way.
+// On error, w may hold a partial graph.
+func (r *Result) WriteGraph(w io.Writer, minMultiplicity int) (int64, error) {
+	if r.Graph != nil {
+		return r.Graph.WriteFiltered(w, minMultiplicity)
+	}
+	if r.store == nil {
+		return 0, errors.New("core: result holds no graph to write")
+	}
+	return graph.WriteMerged(w, r.k, minMultiplicity, func() ([]*graph.SubgraphReader, error) {
+		srcs := make([]*graph.SubgraphReader, len(r.published))
+		for i, rec := range r.published {
+			sr, err := openSubgraph(r.store, rec)
+			if err != nil {
+				return nil, err
+			}
+			srcs[i] = sr
+		}
+		return srcs, nil
+	})
 }

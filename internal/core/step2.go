@@ -33,8 +33,10 @@ type step2Work struct {
 	kmers      int64
 	fileBytes  int64
 	tableBytes int64
-	graphBytes int64
-	distinct   int64
+	// rec describes the partition's published subgraph: its size (the
+	// output stage's bytes), vertex and edge counts, and the constructed
+	// pre-filter vertex count.
+	rec manifest.Step2Partition
 
 	// decodedBytes counts the encoded partition bytes the read stage
 	// actually consumed (retries included).
@@ -233,7 +235,6 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		w.kmers = out.Kmers
 		w.fileBytes = partStats[i].EncodedBytes
 		w.tableBytes = out.TableBytes
-		w.distinct = out.Distinct
 		w.inserts = out.LockedInserts
 		w.updates = out.LockFreeUpdates
 		w.probes = out.Probes
@@ -251,12 +252,12 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		if err != nil {
 			return err
 		}
-		w.graphBytes = graph.SerializedSize(toWrite.NumVertices())
+		w.rec = subgraphRecord(i, toWrite, out.Distinct)
 		// The file is durably published only after Close; journal the
 		// completion now, then honour an armed crash point — a kill here
 		// models power loss with the partition already safe.
 		if ck != nil {
-			if err := ck.markStep2(i, toWrite, out.Distinct); err != nil {
+			if err := ck.markStep2(w.rec); err != nil {
 				return err
 			}
 		}
@@ -311,14 +312,28 @@ func publishSubgraph(cfg Config, st store.PartitionStore, name string, g *graph.
 	return g, nil
 }
 
+// subgraphRecord describes partition i's published subgraph, as written,
+// built from distinct vertices before any output filter.
+func subgraphRecord(i int, written *graph.Subgraph, distinct int64) manifest.Step2Partition {
+	return manifest.Step2Partition{
+		Index:    i,
+		Name:     subgraphFile(i),
+		Bytes:    graph.SerializedSize(written.NumVertices()),
+		Vertices: int64(written.NumVertices()),
+		Edges:    int64(written.NumEdges()),
+		Distinct: distinct,
+	}
+}
+
 // foldStep2Works accumulates the per-partition Step 2 measurements into the
-// run stats — distinct vertices, hash table work counters, decoded bytes —
-// and returns the largest single-partition residency (table + encoded input
-// + graph) for the peak-memory estimate.
+// run stats — distinct vertices, edges, hash table work counters, decoded
+// bytes — and returns the largest single-partition residency (table +
+// encoded input + graph) for the peak-memory estimate.
 func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
 	for _, w := range works {
-		st.DistinctVertices += w.distinct
+		st.DistinctVertices += w.rec.Distinct
+		st.Edges += w.rec.Edges
 		st.Hash.Inserts += w.inserts
 		st.Hash.Updates += w.updates
 		st.Hash.Probes += w.probes
@@ -326,7 +341,7 @@ func foldStep2Works(st *Stats, works []step2Work) int64 {
 		st.Hash.CASFailures += w.casFailures
 		st.DecodedBytes += w.decodedBytes
 		st.Spill.fold(w)
-		if resident := w.tableBytes + w.fileBytes + w.graphBytes + w.spillBufferBytes; resident > peak {
+		if resident := w.tableBytes + w.fileBytes + w.rec.Bytes + w.spillBufferBytes; resident > peak {
 			peak = resident
 		}
 	}
@@ -493,7 +508,7 @@ func step2Cost(cfg Config, p device.Processor, w step2Work) float64 {
 	if p.Kind() == device.KindCPU {
 		return cfg.Calibration.CPUStep2Seconds(w.kmers, cpuThreadsOf(p), w.tableBytes)
 	}
-	transfer := w.fileBytes + w.graphBytes
+	transfer := w.fileBytes + w.rec.Bytes
 	return cfg.Calibration.GPUStep2Seconds(w.kmers, transfer, w.tableBytes)
 }
 
@@ -507,7 +522,7 @@ func scheduleStep2(works []step2Work, cfg Config, procs []device.Processor) (Ste
 			costs[p] = step2Cost(cfg, proc, w)
 			solo[p] += costs[p]
 		}
-		outputSeconds := cfg.Calibration.WriteSeconds(cfg.Medium, w.graphBytes)
+		outputSeconds := cfg.Calibration.WriteSeconds(cfg.Medium, w.rec.Bytes)
 		if cfg.ExcludeGraphOutput {
 			outputSeconds = 0
 		}
@@ -515,7 +530,7 @@ func scheduleStep2(works []step2Work, cfg Config, procs []device.Processor) (Ste
 			InputSeconds:   cfg.Calibration.ReadSeconds(cfg.Medium, w.fileBytes),
 			OutputSeconds:  outputSeconds,
 			ComputeSeconds: costs,
-			WorkUnits:      w.distinct,
+			WorkUnits:      w.rec.Distinct,
 		}
 	}
 	sched, err := pipeline.Simulate(parts, len(procs))

@@ -7,7 +7,7 @@
 package iosim
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,7 +31,7 @@ type Store struct {
 	Medium costmodel.Medium
 
 	mu           sync.Mutex
-	files        map[string]*bytes.Buffer
+	files        map[string]*file
 	bytesRead    int64
 	bytesWritten int64
 }
@@ -40,8 +40,23 @@ var _ store.PartitionStore = (*Store)(nil)
 
 // NewStore creates an empty store modelling the given medium.
 func NewStore(m costmodel.Medium) *Store {
-	return &Store{Medium: m, files: make(map[string]*bytes.Buffer)}
+	return &Store{Medium: m, files: make(map[string]*file)}
 }
+
+// chunkBytes is the size of the blocks a file is written in. A file never
+// moves once written, and holds at most one partly filled block until
+// Close trims it.
+const chunkBytes = 64 << 10
+
+// file is one published version of a file: immutable blocks, so any number
+// of readers can share them without copying.
+type file struct {
+	chunks [][]byte
+	size   int64
+}
+
+// errWriteAfterClose rejects a write to a published file.
+var errWriteAfterClose = errors.New("iosim: write after Close")
 
 // Create opens a new version of a named file for writing. Matching the
 // atomic-publish contract of store.PartitionStore, the written bytes become
@@ -50,33 +65,51 @@ func NewStore(m costmodel.Medium) *Store {
 // Create itself never fails for the in-memory store; the error return
 // satisfies the interface, whose durable implementations can fail here.
 func (s *Store) Create(name string) (io.WriteCloser, error) {
-	return &countingWriter{store: s, buf: &bytes.Buffer{}, name: name}, nil
+	return &countingWriter{store: s, f: &file{}, name: name}, nil
 }
 
-// Open returns a reader over a file's current content. The content is
-// copied at open time, so concurrent writers do not disturb readers.
+// Open returns a reader over a file's current content. Published content
+// never changes, so the reader serves the store's own blocks without a
+// copy; a later Create+Close of the name publishes new blocks and leaves
+// open readers on the old ones.
 func (s *Store) Open(name string) (io.Reader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, ok := s.files[name]
+	f, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data := make([]byte, buf.Len())
-	copy(data, buf.Bytes())
-	s.bytesRead += int64(len(data))
-	return bytes.NewReader(data), nil
+	s.bytesRead += f.size
+	return &chunkReader{chunks: f.chunks}, nil
+}
+
+// chunkReader reads a file's blocks in order.
+type chunkReader struct {
+	chunks [][]byte
+	cur    []byte
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	for len(r.cur) == 0 {
+		if len(r.chunks) == 0 {
+			return 0, io.EOF
+		}
+		r.cur, r.chunks = r.chunks[0], r.chunks[1:]
+	}
+	n := copy(p, r.cur)
+	r.cur = r.cur[n:]
+	return n, nil
 }
 
 // Size returns a file's byte size, or an error if absent.
 func (s *Store) Size(name string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, ok := s.files[name]
+	f, ok := s.files[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return int64(buf.Len()), nil
+	return f.size, nil
 }
 
 // Remove deletes a file if present; removing an absent file is not an
@@ -105,8 +138,8 @@ func (s *Store) TotalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, buf := range s.files {
-		total += int64(buf.Len())
+	for _, f := range s.files {
+		total += f.size
 	}
 	return total
 }
@@ -137,23 +170,42 @@ func (s *Store) WriteSeconds(cal costmodel.Calibration, bytes int64) float64 {
 
 type countingWriter struct {
 	store  *Store
-	buf    *bytes.Buffer
+	f      *file
 	name   string
 	closed bool
 }
 
-// Write appends to the in-flight (unpublished) buffer under the store lock.
+// Write appends to the in-flight (unpublished) file under the store lock,
+// filling fixed-size blocks. Writing after Close fails: the blocks are
+// published and shared with readers.
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	n, err := w.buf.Write(p)
+	if w.closed {
+		return 0, fmt.Errorf("%w: %q", errWriteAfterClose, w.name)
+	}
+	n := len(p)
+	for len(p) > 0 {
+		last := len(w.f.chunks) - 1
+		if last < 0 || len(w.f.chunks[last]) == chunkBytes {
+			w.f.chunks = append(w.f.chunks, make([]byte, 0, chunkBytes))
+			last++
+		}
+		c := w.f.chunks[last]
+		k := min(len(p), chunkBytes-len(c))
+		w.f.chunks[last] = append(c, p[:k]...)
+		p = p[k:]
+	}
+	w.f.size += int64(n)
 	w.store.bytesWritten += int64(n)
-	return n, err
+	return n, nil
 }
 
 // Close publishes the written bytes under the file's name, atomically
 // replacing any previous content — the in-memory analogue of diskstore's
-// fsync-and-rename. Closing twice is a no-op.
+// fsync-and-rename. The partly filled last block is trimmed to its length
+// first, so a small file does not pin a whole block. Closing twice is a
+// no-op.
 func (w *countingWriter) Close() error {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
@@ -161,6 +213,9 @@ func (w *countingWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.store.files[w.name] = w.buf
+	if last := len(w.f.chunks) - 1; last >= 0 && len(w.f.chunks[last]) < chunkBytes {
+		w.f.chunks[last] = append([]byte(nil), w.f.chunks[last]...)
+	}
+	w.store.files[w.name] = w.f
 	return nil
 }

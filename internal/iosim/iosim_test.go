@@ -2,6 +2,7 @@ package iosim
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -205,5 +206,89 @@ func TestFaultInjection(t *testing.T) {
 	s.FailReadsOn("r", nil)
 	if _, err := s.Open("r"); err != nil {
 		t.Fatalf("cleared read fault still firing: %v", err)
+	}
+}
+
+// TestChunkedFileRoundTrip writes a file spanning several blocks in writes
+// that straddle block boundaries and reads it back in odd-sized reads.
+func TestChunkedFileRoundTrip(t *testing.T) {
+	s := NewStore(costmodel.MediumMemCached)
+	want := make([]byte, 3*chunkBytes+123)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	w, _ := s.Create("big")
+	for rest := want; len(rest) > 0; {
+		n := min(len(rest), 40_000)
+		if _, err := w.Write(rest[:n]); err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Open("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	buf := make([]byte, 1000)
+	for {
+		n, err := r.Read(buf)
+		got = append(got, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(got) != string(want) {
+		t.Fatalf("read %d bytes back, want the %d written", len(got), len(want))
+	}
+	if sz, _ := s.Size("big"); sz != int64(len(want)) {
+		t.Errorf("Size = %d, want %d", sz, len(want))
+	}
+}
+
+// TestOpenDoesNotCopy checks that Open serves the published blocks: ten
+// opens of a 1 MiB file allocate far less than one copy of it.
+func TestOpenDoesNotCopy(t *testing.T) {
+	s := NewStore(costmodel.MediumMemCached)
+	w, _ := s.Create("big")
+	if _, err := w.Write(make([]byte, 16*chunkBytes)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, err := s.Open("big"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > chunkBytes {
+		t.Errorf("10 opens allocated %d bytes, want under %d", got, chunkBytes)
+	}
+}
+
+// TestWriteAfterCloseFails: a published file's blocks are shared with its
+// readers, so a late write must fail instead of changing them.
+func TestWriteAfterCloseFails(t *testing.T) {
+	s := NewStore(costmodel.MediumMemCached)
+	w, _ := s.Create("f")
+	w.Write([]byte("published"))
+	w.Close()
+	r, _ := s.Open("f")
+	if n, err := w.Write([]byte("late")); err == nil || n != 0 {
+		t.Fatalf("write after Close = %d, %v; want an error", n, err)
+	}
+	if got, _ := io.ReadAll(r); string(got) != "published" {
+		t.Errorf("reader sees %q after a late write", got)
+	}
+	if s.BytesWritten() != int64(len("published")) {
+		t.Errorf("BytesWritten = %d, counts the rejected write", s.BytesWritten())
 	}
 }

@@ -379,10 +379,13 @@ func TestStartupSweepsOrphanedTmp(t *testing.T) {
 	if m2.Recovery().TmpSwept < 2 {
 		t.Errorf("recovery swept %d tmp files, want >= 2", m2.Recovery().TmpSwept)
 	}
-	for _, p := range []string{strayCk, strayJournal} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("stray file %s survived restart", p)
-		}
+	if _, err := os.Stat(strayCk); !os.IsNotExist(err) {
+		t.Errorf("stray file %s survived restart", strayCk)
+	}
+	// The recovered job may already be saving the journal through the same
+	// tmp name, so judge the planted bytes, not the name.
+	if b, err := os.ReadFile(strayJournal); err == nil && string(b) == "{torn" {
+		t.Errorf("stray file %s survived restart", strayJournal)
 	}
 	waitJobState(t, m2, rec.ID, StateDone)
 
