@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parahash/internal/costmodel"
@@ -251,6 +252,51 @@ func TestBuildValidation(t *testing.T) {
 // graph, yet WriteGraph streams the same bytes (and edge count) as the
 // naive oracle, filtered or not — in memory, checkpointed and resumed —
 // and fails typed once a published file no longer matches its record.
+// TestCheckpointlessBuildDropsSuperkmerFiles lists the in-memory store a
+// checkpoint-less build leaves behind: every superkmer partition is dropped
+// once its subgraph is published, so only the subgraph files remain while
+// the output streams — and the streamed graph still matches the oracle, as
+// does a build on one processor and one on several.
+func TestCheckpointlessBuildDropsSuperkmerFiles(t *testing.T) {
+	reads := tinyReads(t)
+	var oracle bytes.Buffer
+	if _, err := graph.BuildNaive(reads, 27).WriteFiltered(&oracle, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, gpus := range []int{0, 2} {
+		cfg := tinyConfig()
+		cfg.KeepSubgraphs = false
+		cfg.NumGPUs = gpus
+		res, err := Build(reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := res.store.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subgraphs := 0
+		for _, name := range names {
+			switch {
+			case strings.HasPrefix(name, "superkmers/"):
+				t.Errorf("gpus=%d: superkmer file %s left in the store after the build", gpus, name)
+			case strings.HasPrefix(name, "subgraphs/"):
+				subgraphs++
+			}
+		}
+		if subgraphs != cfg.NumPartitions {
+			t.Errorf("gpus=%d: %d subgraph files in the store, want %d", gpus, subgraphs, cfg.NumPartitions)
+		}
+		var got bytes.Buffer
+		if _, err := res.WriteGraph(&got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), oracle.Bytes()) {
+			t.Errorf("gpus=%d: streamed graph differs from the naive oracle", gpus)
+		}
+	}
+}
+
 func TestBuildWithoutKeepingSubgraphs(t *testing.T) {
 	reads := tinyReads(t)
 	naive := graph.BuildNaive(reads, 27)

@@ -315,7 +315,7 @@ func ConstructDistPartition(ctx context.Context, cfg Config, index int, outName 
 	}
 	var st store.PartitionStore = ds
 	st = wrapBuildStore(cfg, st)
-	sks, _, err := loadPartition(st, superkmerFile(index))
+	sks, _, err := loadPartition(st, superkmerFile(index), msp.PartitionStats{})
 	if err != nil {
 		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
 	}

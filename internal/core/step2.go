@@ -88,30 +88,37 @@ type step2Input struct {
 	spill *spillPlan
 }
 
-// loadPartition decodes a superkmer partition from the store, copying each
-// record out of the decoder's reuse buffer, and reports the encoded bytes
-// consumed. The decoder demands the integrity footer our own Step 1 always
-// writes, so truncated or corrupted partition bytes fail with a typed,
-// retryable error instead of silently mis-decoding.
-func loadPartition(st store.PartitionStore, name string) ([]msp.Superkmer, int64, error) {
+// loadPartition decodes a superkmer partition from the store and reports
+// the encoded bytes consumed. Every record's bases land in one arena and
+// the records in one slice, both sized from the partition's Step 1 stats.
+// The stats are only a hint: each is capped by what the file's encoded size
+// could hold (4 bases per byte, a record per 3 bytes), and a short hint
+// just grows the slices. The decoder demands the integrity footer our own
+// Step 1 always writes, so truncated or corrupted partition bytes fail with
+// a typed, retryable error instead of silently mis-decoding.
+func loadPartition(st store.PartitionStore, name string, hint msp.PartitionStats) ([]msp.Superkmer, int64, error) {
+	var bases, records int64
+	if size, err := st.Size(name); err == nil {
+		bases = min(max(hint.Bases, 0), 4*size)
+		records = min(max(hint.Superkmers, 0), size/3)
+	}
 	r, err := st.Open(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	dec := msp.NewDecoder(r)
 	dec.RequireFooter = true
-	var sks []msp.Superkmer
+	arena := make([]dna.Base, 0, bases)
+	sks := make([]msp.Superkmer, 0, records)
 	for {
-		sk, err := dec.Next()
+		var sk msp.Superkmer
+		sk, arena, err = dec.NextAppend(arena)
 		if err == io.EOF {
 			return sks, dec.BytesRead(), nil
 		}
 		if err != nil {
 			return nil, dec.BytesRead(), err
 		}
-		bases := make([]dna.Base, len(sk.Bases))
-		copy(bases, sk.Bases)
-		sk.Bases = bases
 		sks = append(sks, sk)
 	}
 }
@@ -221,7 +228,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			// merge needs, so the superkmer partition is not decoded at all.
 			return in, nil
 		}
-		sks, decoded, err := loadPartition(st, superkmerFile(in.part))
+		sks, decoded, err := loadPartition(st, superkmerFile(in.part), partStats[in.part])
 		// Accumulate (not assign): a retried read re-decodes the partition
 		// and both passes cost real IO. The write closure fills the other
 		// fields; the pipeline's stage ordering makes the shared struct safe.
@@ -270,6 +277,13 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		}
 		if cfg.KeepSubgraphs {
 			subgraphs[i] = out.Graph
+		}
+		if ck == nil {
+			// Without a checkpoint nothing reads the superkmer partition
+			// again once its subgraph is published; dropping it keeps the
+			// store from holding both forms of every partition to the end
+			// of the build and while the output streams.
+			_ = st.Remove(superkmerFile(i))
 		}
 		return nil
 	}

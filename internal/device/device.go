@@ -127,13 +127,55 @@ type Processor interface {
 // the atomic load in ctx.Err() never shows up in a profile.
 const ctxCheckEvery = 256
 
+// kernelScratch is one processor's working set, reused from one kernel call
+// to the next: the Step 1 scanners (warm minimizer/p-mer/deque buffers) and
+// per-worker superkmer slices, and the Step 2 chunk boundaries, hash table
+// and sort buffer. A warmed processor therefore scans and hashes without
+// allocating per read, per superkmer or per table slot.
+type kernelScratch struct {
+	scanners  []msp.Scanner
+	skBufs    [][]msp.Superkmer
+	chunkEnds []int
+	// table is the last successful Step 2 table, handed to
+	// hashtable.Recycle: reused only at the exact backend, k and rounded
+	// capacity, so probe sequences and counters never change.
+	table   hashtable.KmerTable
+	sortBuf []graph.Vertex
+}
+
+// scratchSlot lends a processor's kernelScratch to one kernel call at a
+// time. A call takes the scratch for its whole length and gives it back only
+// when it succeeds. A call that finds the slot empty — another call on the
+// same processor is still running, such as an attempt the pipeline watchdog
+// abandoned — works on fresh scratch, so two calls never share a buffer.
+type scratchSlot struct {
+	p atomic.Pointer[kernelScratch]
+}
+
+func (s *scratchSlot) take() *kernelScratch {
+	if sc := s.p.Swap(nil); sc != nil {
+		return sc
+	}
+	return new(kernelScratch)
+}
+
+func (s *scratchSlot) give(sc *kernelScratch) { s.p.Store(sc) }
+
+// takeTable returns the scratch table recycled for a (backend, k, slots)
+// call. The scratch drops its reference first, so a table of another shape
+// can be collected before its replacement is allocated.
+func (sc *kernelScratch) takeTable(b hashtable.Backend, k, slots int) (hashtable.KmerTable, error) {
+	old := sc.table
+	sc.table = nil
+	return hashtable.Recycle(old, b, k, slots)
+}
+
 // CPU is the multi-threaded host processor. Its kernels use real goroutine
 // concurrency over the shared state-transfer hash table; charged time comes
 // from the calibration so experiments are host-independent.
 //
-// A CPU carries per-worker scratch reused across kernel invocations, so a
-// single CPU value must not run two kernels concurrently — the pipeline
-// already guarantees this (one worker goroutine per processor).
+// A CPU reuses its kernel scratch across calls (see scratchSlot); calls
+// that overlap on one CPU stay correct, the later one just allocates.
 type CPU struct {
 	// Threads is the worker count (the paper machine runs 20).
 	Threads int
@@ -148,13 +190,7 @@ type CPU struct {
 	// paper's state-transfer table.
 	Table hashtable.Backend
 
-	// Per-worker Step 1 scratch: scanners keep their minimizer/p-mer/deque
-	// buffers warm, skBufs keep the per-worker superkmer slices, so a warmed
-	// CPU scans with zero allocations per read.
-	scanners []msp.Scanner
-	skBufs   [][]msp.Superkmer
-	// chunkEnds is the Step 2 kmer-weighted chunk boundary scratch.
-	chunkEnds []int
+	scratch scratchSlot
 }
 
 var _ Processor = (*CPU)(nil)
@@ -175,27 +211,28 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 		return Step1Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
 	}
 	chunks := fastq.PartitionReads(reads, c.Threads)
-	for len(c.scanners) < len(chunks) {
-		c.scanners = append(c.scanners, msp.Scanner{})
+	scr := c.scratch.take()
+	for len(scr.scanners) < len(chunks) {
+		scr.scanners = append(scr.scanners, msp.Scanner{})
 	}
-	for len(c.skBufs) < len(chunks) {
-		c.skBufs = append(c.skBufs, nil)
+	for len(scr.skBufs) < len(chunks) {
+		scr.skBufs = append(scr.skBufs, nil)
 	}
 	var wg sync.WaitGroup
 	for i, chunk := range chunks {
 		wg.Add(1)
 		go func(i int, chunk []fastq.Read) {
 			defer wg.Done()
-			sc := &c.scanners[i]
+			sc := &scr.scanners[i]
 			sc.K, sc.P, sc.NumPartitions = k, p, c.Partitions
-			out := c.skBufs[i][:0]
+			out := scr.skBufs[i][:0]
 			for j, rd := range chunk {
 				if j%ctxCheckEvery == 0 && ctx.Err() != nil {
 					return
 				}
 				out = sc.Superkmers(out, rd.Bases)
 			}
-			c.skBufs[i] = out
+			scr.skBufs[i] = out
 		}(i, chunk)
 	}
 	wg.Wait()
@@ -208,13 +245,14 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 		bases += int64(len(rd.Bases))
 	}
 	total := 0
-	for _, r := range c.skBufs[:len(chunks)] {
+	for _, r := range scr.skBufs[:len(chunks)] {
 		total += len(r)
 	}
 	all := make([]msp.Superkmer, 0, total)
-	for _, r := range c.skBufs[:len(chunks)] {
+	for _, r := range scr.skBufs[:len(chunks)] {
 		all = append(all, r...)
 	}
+	c.scratch.give(scr)
 	return Step1Output{
 		Superkmers: all,
 		Bases:      bases,
@@ -257,12 +295,14 @@ func step2Chunks(ends []int, sks []msp.Superkmer, k int, kmers int64, workers in
 // chunks of near-equal k-mer weight from an atomic cursor, so skewed
 // superkmer lengths cannot idle threads the way the former index-striped
 // split could. Each worker updates its own padded metrics shard via a
-// per-worker table handle.
+// per-worker table handle. The table, chunk boundaries and sort buffer come
+// from the CPU's scratch.
 func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	if c.Threads < 1 {
 		return Step2Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
 	}
-	table, err := hashtable.NewBackend(c.Table, k, tableSlots)
+	scr := c.scratch.take()
+	table, err := scr.takeTable(c.Table, k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
@@ -270,8 +310,8 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	for _, sk := range sks {
 		kmers += int64(sk.NumKmers(k))
 	}
-	ends := step2Chunks(c.chunkEnds[:0], sks, k, kmers, c.Threads)
-	c.chunkEnds = ends
+	ends := step2Chunks(scr.chunkEnds[:0], sks, k, kmers, c.Threads)
+	scr.chunkEnds = ends
 
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -327,7 +367,8 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 			return counterOnlyOutput(table), fmt.Errorf("device: CPU hashing: %w", err)
 		}
 	}
-	out := collectStep2(table, k, kmers, c.Threads)
+	out := collectStep2(table, k, kmers, c.Threads, scr)
+	c.scratch.give(scr)
 	out.Seconds = c.Cal.CPUStep2Seconds(kmers, c.Threads, out.TableBytes)
 	out.ComputeSeconds = out.Seconds
 	return out, nil
@@ -363,8 +404,8 @@ func Step1TransferBytes(bases, superkmers int64) int64 {
 // a larger partition count.
 var ErrDeviceMemory = errors.New("device: partition exceeds GPU memory; increase the partition count")
 
-// GPU is the simulated device processor. Like CPU it carries kernel scratch
-// reused across calls, so one GPU value must not run two kernels at once.
+// GPU is the simulated device processor. Like CPU it reuses its kernel
+// scratch across calls (see scratchSlot).
 type GPU struct {
 	// Index distinguishes multiple devices ("GPU0", "GPU1").
 	Index int
@@ -378,8 +419,7 @@ type GPU struct {
 	// Table mirrors CPU.Table: the Step 2 hash-table backend.
 	Table hashtable.Backend
 
-	// scan is the persistent Step 1 scanner (warm minimizer buffers).
-	scan msp.Scanner
+	scratch scratchSlot
 }
 
 var _ Processor = (*GPU)(nil)
@@ -396,7 +436,11 @@ func (g *GPU) Kind() Kind { return KindGPU }
 // does the O(LKP) minimizer search and the CPU the irregular memory
 // movement (§III-D).
 func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Output, error) {
-	sc := &g.scan
+	scr := g.scratch.take()
+	if len(scr.scanners) == 0 {
+		scr.scanners = make([]msp.Scanner, 1)
+	}
+	sc := &scr.scanners[0]
 	sc.K, sc.P, sc.NumPartitions = k, p, g.Partitions
 	var all []msp.Superkmer
 	var bases int64
@@ -407,6 +451,7 @@ func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 		all = sc.Superkmers(all, rd.Bases)
 		bases += int64(len(rd.Bases))
 	}
+	g.scratch.give(scr)
 	transfer := Step1TransferBytes(bases, int64(len(all)))
 	seconds := g.Cal.GPUStep1Seconds(bases, transfer)
 	return Step1Output{
@@ -432,7 +477,8 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 				ErrDeviceMemory, need, g.MemoryBytes)
 		}
 	}
-	table, err := hashtable.NewBackend(g.Table, k, tableSlots)
+	scr := g.scratch.take()
+	table, err := scr.takeTable(g.Table, k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
@@ -488,7 +534,8 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	}
 	flushWarp()
 
-	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
+	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0), scr)
+	g.scratch.give(scr)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
 	var skBytes int64
 	for _, sk := range sks {
@@ -504,12 +551,13 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	return out, nil
 }
 
-// collectStep2 materialises the table into a sorted subgraph plus counters.
+// collectStep2 materialises the table into a sorted subgraph plus counters,
+// and parks the table and the sort buffer in scr for the next call.
 // The sort runs on up to sortWorkers goroutines, clamped to the physical
 // parallelism available — beyond that the merge rounds only add copying —
 // and the result is identical to the sequential sort (vertex keys are
 // unique).
-func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int) Step2Output {
+func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int, scr *kernelScratch) Step2Output {
 	sub := &graph.Subgraph{K: k, Vertices: make([]graph.Vertex, 0, table.Len())}
 	table.ForEach(func(e hashtable.Entry) {
 		sub.Vertices = append(sub.Vertices, graph.Vertex{Kmer: e.Kmer, Counts: e.Counts})
@@ -517,7 +565,8 @@ func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int
 	if mp := runtime.GOMAXPROCS(0); sortWorkers > mp {
 		sortWorkers = mp
 	}
-	sub.SortParallel(sortWorkers)
+	scr.sortBuf = sub.SortParallelWith(sortWorkers, scr.sortBuf)
+	scr.table = table
 	m := table.Metrics().Snapshot()
 	return Step2Output{
 		Graph:           sub,

@@ -126,16 +126,18 @@ func kmerMask(k int) (hi, lo uint64) {
 }
 
 // KmerFromBases packs bases[0:k] into a Kmer. It panics if k exceeds MaxK,
-// since a fixed K is validated once at configuration time.
+// since a fixed K is validated once at configuration time. Shifting in k
+// bases fills exactly the low 2k bits, so no per-base masking is needed.
 func KmerFromBases(bases []Base, k int) Kmer {
 	if k > MaxK {
 		panic(fmt.Sprintf("dna: k=%d exceeds MaxK=%d", k, MaxK))
 	}
-	var km Kmer
-	for i := 0; i < k; i++ {
-		km = km.AppendBase(bases[i], k)
+	var hi, lo uint64
+	for _, b := range bases[:k] {
+		hi = hi<<2 | lo>>62
+		lo = lo<<2 | uint64(b&3)
 	}
-	return km
+	return Kmer{Hi: hi, Lo: lo}
 }
 
 // KmerFromString packs a base string into a Kmer of length len(s).
@@ -144,30 +146,58 @@ func KmerFromString(s string) Kmer {
 	return KmerFromBases(bases, len(bases))
 }
 
+// Window holds the per-k constants of the rolling k-mer updates — the mask
+// of the low 2k bits and the position of the leftmost base — so a scan that
+// slides one window over many bases derives them once instead of on every
+// AppendBase/PrependBase.
+type Window struct {
+	maskHi, maskLo uint64
+	// topLo and topHi are the leftmost base's bit offset within Lo and Hi;
+	// the word it does not live in gets 64, and Go shifts of 64 or more
+	// yield 0, so Prepend writes both words without branching.
+	topLo, topHi uint
+}
+
+// NewWindow returns the rolling-update constants for k-mers of length k.
+func NewWindow(k int) Window {
+	w := Window{topLo: 64, topHi: 64}
+	w.maskHi, w.maskLo = kmerMask(k)
+	if pos := uint(2 * (k - 1)); pos < 64 {
+		w.topLo = pos
+	} else {
+		w.topHi = pos - 64
+	}
+	return w
+}
+
+// Append shifts km one base to the right: the leftmost base falls out and b
+// becomes the new rightmost base.
+func (w Window) Append(km Kmer, b Base) Kmer {
+	return Kmer{
+		Hi: (km.Hi<<2 | km.Lo>>62) & w.maskHi,
+		Lo: (km.Lo<<2 | uint64(b&3)) & w.maskLo,
+	}
+}
+
+// Prepend shifts km one base to the left: the rightmost base falls out and
+// b becomes the new leftmost base.
+func (w Window) Prepend(km Kmer, b Base) Kmer {
+	return Kmer{
+		Hi: km.Hi>>2 | uint64(b&3)<<w.topHi,
+		Lo: (km.Lo>>2 | km.Hi<<62) | uint64(b&3)<<w.topLo,
+	}
+}
+
 // AppendBase shifts the k-mer window one base to the right: the leftmost
 // base falls out and b becomes the new rightmost base. This is the rolling
-// update used when scanning a read.
-func (km Kmer) AppendBase(b Base, k int) Kmer {
-	hi := km.Hi<<2 | km.Lo>>62
-	lo := km.Lo<<2 | uint64(b&3)
-	mhi, mlo := kmerMask(k)
-	return Kmer{Hi: hi & mhi, Lo: lo & mlo}
-}
+// update used when scanning a read; loops over many bases hoist the
+// constants with NewWindow.
+func (km Kmer) AppendBase(b Base, k int) Kmer { return NewWindow(k).Append(km, b) }
 
 // PrependBase shifts the k-mer window one base to the left: the rightmost
 // base falls out and b becomes the new leftmost base. Used for the rolling
 // reverse-complement update.
-func (km Kmer) PrependBase(b Base, k int) Kmer {
-	lo := km.Lo>>2 | km.Hi<<62
-	hi := km.Hi >> 2
-	pos := 2 * (k - 1)
-	if pos < 64 {
-		lo |= uint64(b&3) << pos
-	} else {
-		hi |= uint64(b&3) << (pos - 64)
-	}
-	return Kmer{Hi: hi, Lo: lo}
-}
+func (km Kmer) PrependBase(b Base, k int) Kmer { return NewWindow(k).Prepend(km, b) }
 
 // Base returns the i-th base (0 = leftmost) of a length-k k-mer.
 func (km Kmer) Base(i, k int) Base {

@@ -141,6 +141,34 @@ func NewBackend(b Backend, k, capacity int) (KmerTable, error) {
 	}
 }
 
+// Recycle returns t, Reset, when it is exactly the table NewBackend(b, k,
+// capacity) would build — the same backend, k and rounded slot count — and
+// a fresh NewBackend table otherwise. Only an exact capacity match keeps
+// every probe sequence, and so every work counter, identical to a fresh
+// table's; a larger table would hash keys to other slots.
+func Recycle(t KmerTable, b Backend, k, capacity int) (KmerTable, error) {
+	want, err := ParseBackend(string(b))
+	if err == nil && t != nil && backendOf(t) == want && t.K() == k &&
+		capacity >= 1 && int64(t.Capacity()) == roundedSlots(capacity) {
+		t.Reset()
+		return t, nil
+	}
+	return NewBackend(b, k, capacity)
+}
+
+// backendOf names the backend that built t.
+func backendOf(t KmerTable) Backend {
+	switch t.(type) {
+	case *Table:
+		return BackendStateTransfer
+	case *LockFreeTable:
+		return BackendLockFree
+	case *ShardedTable:
+		return BackendSharded
+	}
+	return ""
+}
+
 // MemoryBytesForBackend returns the footprint a table of the given backend
 // and slot capacity would allocate (after rounding), so the Step 2
 // admission controller and the GPU device-memory check charge exactly the

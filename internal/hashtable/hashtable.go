@@ -300,15 +300,16 @@ func (t *Table) Inserter(worker int) Inserter {
 // lookup / insertion / update of §III-C2, with the state-transfer partial
 // locking of §III-C3.
 func (t *Table) InsertEdge(e msp.KmerEdge) error {
-	_, err := t.Inserter(0).InsertEdgeCounted(e)
+	_, err := t.InsertEdgeCounted(e)
 	return err
 }
 
 // InsertEdgeCounted is InsertEdge returning the number of slots probed,
 // which the simulated GPU uses to account for intra-warp divergence (lanes
-// in a warp diverge to different probe walk lengths, §III-D).
+// in a warp diverge to different probe walk lengths, §III-D). It calls the
+// concrete worker-0 handle, so no interface value is boxed per edge.
 func (t *Table) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
-	return t.Inserter(0).InsertEdgeCounted(e)
+	return tableInserter{t: t, sh: t.metrics.handleShard(0)}.InsertEdgeCounted(e)
 }
 
 // InsertEdge records one observation through the handle's counter shard.
@@ -467,12 +468,8 @@ func (t *Table) ForEach(fn func(Entry)) {
 // cumulative figures should Metrics().Snapshot() before resetting. It must
 // not run concurrently with other operations.
 func (t *Table) Reset() {
-	for i := range t.states {
-		t.states[i] = stateEmpty
-	}
-	for i := range t.counts {
-		t.counts[i] = 0
-	}
+	clear(t.states) // stateEmpty is the zero value
+	clear(t.counts)
 	t.distinct.Store(0)
 	t.metrics.Reset()
 }

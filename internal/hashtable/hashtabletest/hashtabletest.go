@@ -39,6 +39,7 @@ func Run(t *testing.T, factory Factory) {
 			t.Run("ConcurrentInserts", func(t *testing.T) { testConcurrent(t, factory, k) })
 			t.Run("TableFull", func(t *testing.T) { testTableFull(t, factory, k) })
 			t.Run("Reset", func(t *testing.T) { testReset(t, factory, k) })
+			t.Run("ResetRefillEqualsFresh", func(t *testing.T) { testResetRefill(t, factory, k) })
 			t.Run("ForEachVsLookup", func(t *testing.T) { testForEachVsLookup(t, factory, k) })
 			t.Run("GrowPreservesEntries", func(t *testing.T) { testGrow(t, factory, k) })
 			t.Run("GrowCarriesMetrics", func(t *testing.T) { testGrowMetrics(t, factory, k) })
@@ -273,6 +274,53 @@ func testReset(t *testing.T, factory Factory, k int) {
 		}
 	}
 	checkAgainstRef(t, tab, ref2)
+}
+
+// testResetRefill checks that a Reset table refilled with a workload is
+// indistinguishable from a fresh table given the same workload — the same
+// entries, Len and work counters — which is what lets Step 2 reuse one
+// table across partitions without changing any reported figure.
+func testResetRefill(t *testing.T, factory Factory, k int) {
+	fill := func(tab hashtable.KmerTable, edges []msp.KmerEdge) {
+		t.Helper()
+		for _, e := range edges {
+			if err := tab.InsertEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, _ := randomEdges(157, 400, 2000, k)
+	second, ref := randomEdges(158, 300, 3000, k)
+	reused := factory(t, k, 1024)
+	fill(reused, first)
+	reused.Reset()
+	fill(reused, second)
+	fresh := factory(t, k, 1024)
+	fill(fresh, second)
+
+	checkAgainstRef(t, reused, ref)
+	if reused.Len() != fresh.Len() {
+		t.Fatalf("Len after Reset+refill = %d, fresh table %d", reused.Len(), fresh.Len())
+	}
+	if got, want := reused.Metrics().Snapshot(), fresh.Metrics().Snapshot(); got != want {
+		t.Fatalf("metrics after Reset+refill = %+v, fresh table %+v", got, want)
+	}
+	entries := func(tab hashtable.KmerTable) []hashtable.Entry {
+		var out []hashtable.Entry
+		tab.ForEach(func(e hashtable.Entry) { out = append(out, e) })
+		return out
+	}
+	// Sequential inserts into same-sized tables land in the same slots, so
+	// even the iteration order matches.
+	got, want := entries(reused), entries(fresh)
+	if len(got) != len(want) {
+		t.Fatalf("ForEach after Reset+refill visits %d entries, fresh table %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d after Reset+refill = %+v, fresh table %+v", i, got[i], want[i])
+		}
+	}
 }
 
 func testForEachVsLookup(t *testing.T, factory Factory, k int) {

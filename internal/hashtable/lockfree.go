@@ -131,7 +131,7 @@ func (t *LockFreeTable) Inserter(worker int) Inserter {
 
 // InsertEdge records one observation through worker handle 0.
 func (t *LockFreeTable) InsertEdge(e msp.KmerEdge) error {
-	_, err := t.Inserter(0).InsertEdgeCounted(e)
+	_, err := lockFreeInserter{t: t, sh: t.metrics.handleShard(0)}.InsertEdgeCounted(e)
 	return err
 }
 
@@ -273,15 +273,9 @@ func (t *LockFreeTable) ForEach(fn func(Entry)) {
 // Reset clears the table (and its metrics) for reuse, retaining the
 // allocation. It must not run concurrently with other operations.
 func (t *LockFreeTable) Reset() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-	for i := range t.ready {
-		t.ready[i] = 0
-	}
-	for i := range t.counts {
-		t.counts[i] = 0
-	}
+	clear(t.tags)
+	clear(t.ready)
+	clear(t.counts)
 	t.distinct.Store(0)
 	t.metrics.Reset()
 }

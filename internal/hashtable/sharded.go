@@ -156,7 +156,7 @@ func (t *ShardedTable) Inserter(worker int) Inserter {
 
 // InsertEdge records one observation through worker handle 0.
 func (t *ShardedTable) InsertEdge(e msp.KmerEdge) error {
-	_, err := t.Inserter(0).InsertEdgeCounted(e)
+	_, err := shardedInserter{t: t, sh: t.metrics.handleShard(0)}.InsertEdgeCounted(e)
 	return err
 }
 

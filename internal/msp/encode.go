@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"parahash/internal/dna"
 )
@@ -138,7 +139,11 @@ func (e *Encoder) Close() error {
 	return e.w.Flush()
 }
 
-// Decoder streams superkmer records produced by Encoder.
+// Decoder streams superkmer records produced by Encoder. It parses records
+// straight out of its own block buffer: the running CRC is folded once per
+// consumed span (at each refill and at the footer) instead of once per
+// record, and packed bytes unpack four bases at a time through a 256-entry
+// table.
 type Decoder struct {
 	// RequireFooter, when set, makes a stream that ends without a verified
 	// integrity footer fail with ErrCorruptPartition instead of returning
@@ -146,85 +151,126 @@ type Decoder struct {
 	// Encoder.Close so that truncation at a record boundary is detected.
 	RequireFooter bool
 
-	r       *bufio.Reader
-	bases   []dna.Base
-	scratch []byte
-	crc     uint32
-	bytes   int64
-	done    bool // footer verified or terminal error delivered
+	r io.Reader
+	// buf[pos:end] is read but not yet consumed; buf[sumPos:pos] is
+	// consumed record bytes not yet folded into crc.
+	buf              []byte
+	pos, end, sumPos int
+	rerr             error // the reader's terminal error (io.EOF at its end)
+	crc              uint32
+	bytes            int64
+	bases            []dna.Base
+	err              error // terminal result, returned by every later Next
 }
 
-// BytesRead reports the encoded bytes consumed so far (records plus any
-// verified footer), for IO accounting symmetrical with Encoder.Bytes.
+// decoderBlock is the Decoder's initial block buffer size; a record longer
+// than a block grows the buffer as its bytes arrive.
+const decoderBlock = 1 << 15
+
+// unpack4 maps a packed byte to its four bases, first base in the two most
+// significant bits.
+var unpack4 = func() (t [256][4]dna.Base) {
+	for b := range t {
+		for j := range t[b] {
+			t[b][j] = dna.Base(b >> (6 - 2*j) & 3)
+		}
+	}
+	return t
+}()
+
+// BytesRead reports the encoded bytes consumed so far — every complete
+// record plus a footer read in full — for IO accounting symmetrical with
+// Encoder.Bytes.
 func (d *Decoder) BytesRead() int64 { return d.bytes }
 
 // Sum32 returns the running IEEE CRC32 of the record bytes decoded so far.
 // After a stream ends cleanly with a verified footer it equals the
 // encoder's Sum32, letting resume verification compare the decoded stream
 // against an independently recorded checksum.
-func (d *Decoder) Sum32() uint32 { return d.crc }
+func (d *Decoder) Sum32() uint32 {
+	d.foldCRC()
+	return d.crc
+}
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 1<<15)}
+	return &Decoder{r: r, buf: make([]byte, decoderBlock)}
 }
 
 // Next decodes the next record. The returned superkmer's Bases slice is
-// owned by the Decoder and overwritten by the next call; copy it to retain.
+// owned by the Decoder and overwritten by the next call; copy it to retain,
+// or decode with NextAppend instead.
 // The Minimizer field is not stored on disk and is returned as zero.
 // It returns io.EOF at a clean end of stream — after a verified footer, or
 // at a record boundary for footerless streams unless RequireFooter is set.
+// Errors are terminal: every later call returns the same error.
 func (d *Decoder) Next() (Superkmer, error) {
-	if d.done {
-		return Superkmer{}, io.EOF
+	sk, bases, err := d.NextAppend(d.bases[:0])
+	d.bases = bases
+	return sk, err
+}
+
+// NextAppend is Next decoding into a caller-owned arena: the record's bases
+// are appended to dst, the returned superkmer's Bases alias the appended
+// span, and the extended slice is returned. Decoding a whole partition
+// through one arena makes no per-record allocation; a record that outgrows
+// the arena's capacity moves it, which leaves earlier records aliasing the
+// old, still valid array.
+func (d *Decoder) NextAppend(dst []dna.Base) (Superkmer, []dna.Base, error) {
+	if d.err != nil {
+		return Superkmer{}, dst, d.err
 	}
-	first, err := d.r.ReadByte()
-	if err == io.EOF {
-		d.done = true
-		if d.RequireFooter {
-			return Superkmer{}, fmt.Errorf("%w: stream ends without integrity footer", ErrCorruptPartition)
-		}
-		return Superkmer{}, io.EOF
-	}
+	sk, dst, err := d.decode(dst)
 	if err != nil {
-		return Superkmer{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		d.err = err
 	}
-	d.bytes++
-	if first == 0 {
-		return Superkmer{}, d.verifyFooter()
+	return sk, dst, err
+}
+
+func (d *Decoder) decode(dst []dna.Base) (Superkmer, []dna.Base, error) {
+	if !d.fill(1) {
+		if err := d.readErr(); err != nil {
+			return Superkmer{}, dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if d.RequireFooter {
+			return Superkmer{}, dst, fmt.Errorf("%w: stream ends without integrity footer", ErrCorruptPartition)
+		}
+		return Superkmer{}, dst, io.EOF
+	}
+	if d.buf[d.pos] == 0 {
+		return Superkmer{}, dst, d.verifyFooter()
 	}
 
-	// Re-read the record length byte by byte so the raw varint bytes feed
-	// the CRC.
-	n64, err := d.readUvarint(first)
-	if err != nil {
-		return Superkmer{}, err
+	// A stream ending inside the varint leaves Uvarint too few bytes,
+	// which it reports as w == 0.
+	d.fill(binary.MaxVarintLen64)
+	n64, w := binary.Uvarint(d.buf[d.pos:d.end])
+	switch {
+	case w < 0:
+		return Superkmer{}, dst, fmt.Errorf("%w: record length varint overflows", ErrCorrupt)
+	case w == 0:
+		return Superkmer{}, dst, fmt.Errorf("%w: truncated record length", ErrCorrupt)
+	case n64 == 0 || n64 > 1<<30:
+		return Superkmer{}, dst, fmt.Errorf("%w: implausible superkmer length %d", ErrCorrupt, n64)
 	}
 	n := int(n64)
-	if n <= 0 || n > 1<<30 {
-		return Superkmer{}, fmt.Errorf("%w: implausible superkmer length %d", ErrCorrupt, n)
+	size := w + 1 + (n+3)/4 // varint + flags + packed bases
+	if !d.fill(size) {
+		return Superkmer{}, dst, fmt.Errorf("%w: truncated record (%d bases declared)", ErrCorrupt, n)
 	}
-	payload := 1 + (n+3)/4 // flags + packed bases
-	if cap(d.scratch) < payload {
-		d.scratch = make([]byte, payload)
-	}
-	body := d.scratch[:payload]
-	if _, err := io.ReadFull(d.r, body); err != nil {
-		return Superkmer{}, fmt.Errorf("%w: truncated record (%d bases declared): %v", ErrCorrupt, n, err)
-	}
-	d.bytes += int64(payload)
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, body)
+	flags, packed := d.buf[d.pos+w], d.buf[d.pos+w+1:d.pos+size]
+	d.pos += size
+	d.bytes += int64(size)
 
-	flags, packed := body[0], body[1:]
-	if cap(d.bases) < n {
-		d.bases = make([]dna.Base, n)
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	bases := dst[at:]
+	full := n / 4
+	for i, b := range packed[:full] {
+		*(*[4]dna.Base)(bases[4*i:]) = unpack4[b]
 	}
-	bases := d.bases[:n]
-	for i := range packed {
-		bb := packed[i]
-		for j := 0; j < 4 && i*4+j < n; j++ {
-			bases[i*4+j] = dna.Base(bb >> (6 - 2*uint(j)) & 3)
-		}
+	if rem := n % 4; rem > 0 {
+		copy(bases[4*full:], unpack4[packed[full]][:rem])
 	}
 	sk := Superkmer{Bases: bases}
 	if flags&1 != 0 {
@@ -235,53 +281,68 @@ func (d *Decoder) Next() (Superkmer, error) {
 		sk.HasRight = true
 		sk.Right = dna.Base(flags >> 4 & 3)
 	}
-	return sk, nil
+	return sk, dst, nil
 }
 
-// readUvarint decodes a varint whose first byte has already been consumed,
-// folding the raw bytes into the running CRC.
-func (d *Decoder) readUvarint(first byte) (uint64, error) {
-	var raw [binary.MaxVarintLen64]byte
-	var x uint64
-	var shift uint
-	b := first
-	for i := 0; ; i++ {
-		raw[i] = b
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("%w: record length varint overflows", ErrCorrupt)
+// fill reads until at least need unconsumed bytes are buffered, reporting
+// false when the stream ends first. The buffer grows only once it is full
+// of unconsumed bytes, so its size stays bounded by what the stream has
+// actually delivered, whatever length a corrupt record declares.
+func (d *Decoder) fill(need int) bool {
+	for empty := 0; d.end-d.pos < need && d.rerr == nil; {
+		if d.end == len(d.buf) {
+			d.foldCRC()
+			if d.pos > 0 {
+				d.end = copy(d.buf, d.buf[d.pos:d.end])
+				d.pos, d.sumPos = 0, 0
+			} else {
+				d.buf = append(d.buf, make([]byte, len(d.buf))...)
 			}
-			x |= uint64(b) << shift
-			d.crc = crc32.Update(d.crc, crc32.IEEETable, raw[:i+1])
-			return x, nil
 		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-		if i+1 == binary.MaxVarintLen64 {
-			return 0, fmt.Errorf("%w: record length varint overflows", ErrCorrupt)
+		n, err := d.r.Read(d.buf[d.end:])
+		d.end += n
+		switch {
+		case err != nil:
+			d.rerr = err
+		case n == 0:
+			if empty++; empty == 100 {
+				d.rerr = io.ErrNoProgress
+			}
 		}
-		var err error
-		if b, err = d.r.ReadByte(); err != nil {
-			return 0, fmt.Errorf("%w: truncated record length", ErrCorrupt)
-		}
-		d.bytes++
 	}
+	return d.end-d.pos >= need
 }
 
-// verifyFooter checks the CRC footer (whose marker byte has been consumed)
-// against the running record CRC and enforces a clean end of stream.
+// readErr returns the reader's failure, if the stream stopped on one
+// rather than at its end.
+func (d *Decoder) readErr() error {
+	if d.rerr == io.EOF {
+		return nil
+	}
+	return d.rerr
+}
+
+// foldCRC folds the consumed record bytes not yet checksummed into crc.
+func (d *Decoder) foldCRC() {
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.buf[d.sumPos:d.pos])
+	d.sumPos = d.pos
+}
+
+// verifyFooter checks the CRC footer at pos against the running record CRC
+// and enforces a clean end of stream.
 func (d *Decoder) verifyFooter() error {
-	d.done = true
-	var crcBytes [FooterSize - 1]byte
-	if _, err := io.ReadFull(d.r, crcBytes[:]); err != nil {
+	d.foldCRC()
+	if !d.fill(FooterSize) {
 		return fmt.Errorf("%w: truncated integrity footer", ErrCorruptPartition)
 	}
-	d.bytes += FooterSize - 1
-	want := binary.LittleEndian.Uint32(crcBytes[:])
+	want := binary.LittleEndian.Uint32(d.buf[d.pos+1 : d.pos+FooterSize])
+	d.pos += FooterSize
+	d.sumPos = d.pos
+	d.bytes += FooterSize
 	if want != d.crc {
 		return fmt.Errorf("%w: crc 0x%08x, footer says 0x%08x", ErrCorruptPartition, d.crc, want)
 	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
+	if d.fill(1) || d.readErr() != nil {
 		return fmt.Errorf("%w: trailing data after integrity footer", ErrCorruptPartition)
 	}
 	return io.EOF

@@ -145,20 +145,22 @@ type KmerEdge struct {
 // Canonical orientation is maintained with a rolling reverse-complement
 // window: appending base b on the forward strand prepends b's complement on
 // the reverse strand, so each k-mer instance costs O(1) instead of the O(k)
-// re-derivation of Kmer.Canonical. ForEachKmerEdgeNaive is the per-instance
+// re-derivation of Kmer.Canonical. The window's masks and shifts are derived
+// once per call (dna.Window). ForEachKmerEdgeNaive is the per-instance
 // oracle the equivalence tests check against.
 func ForEachKmerEdge(sk Superkmer, k int, fn func(KmerEdge)) {
 	n := sk.NumKmers(k)
 	if n <= 0 {
 		return
 	}
+	win := dna.NewWindow(k)
 	km := dna.KmerFromBases(sk.Bases, k)
 	rc := km.ReverseComplement(k)
 	for t := 0; t < n; t++ {
 		if t > 0 {
 			b := sk.Bases[t+k-1]
-			km = km.AppendBase(b, k)
-			rc = rc.PrependBase(b.Complement(), k)
+			km = win.Append(km, b)
+			rc = win.Prepend(rc, b.Complement())
 		}
 		prev, next := NoBase, NoBase
 		if t > 0 {
